@@ -1,14 +1,10 @@
 //! Batched vs sequential candidate fan-out (`Evaluator::evaluate_batch` vs
 //! one `evaluate_delta` per candidate), on the Fig-9c instance the
-//! `delta_rta` section tracks. Two workloads:
-//!
-//! * **OS resource scan** — the full candidate set of one per-resource
-//!   permutation scan position (every unassigned node × every recommended
-//!   slot length, HOPA priorities per candidate, structural seeds), exactly
-//!   what `Os` submits per position;
-//! * **SA proposal stream** — a complete SAS run, sequential vs
-//!   `Sa::batch(8)` speculative windows (identical trajectories by the
-//!   `batch_equivalence` contract; only the evaluation schedule differs).
+//! `delta_rta` section tracks. The workload is the **OS resource scan**:
+//! the full candidate set of one per-resource permutation scan position
+//! (every unassigned node × every recommended slot length, HOPA priorities
+//! per candidate, structural seeds), exactly what `Os` submits per
+//! position.
 //!
 //! Emits the `batch_neighborhood` section of `BENCH_core.json`. The batch
 //! lanes run data-parallel across rayon workers, so the throughput ratio
@@ -21,9 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mcs_core::{AnalysisParams, BatchRequest, BatchScratch, DeltaSeeds, Evaluator};
 use mcs_gen::{generate, GeneratorParams};
 use mcs_model::{NodeId, System, SystemConfig, TdmaConfig, TdmaSlot};
-use mcs_opt::{
-    hopa_priorities, minimal_slot_capacities, recommended_lengths, Sa, SaParams, Synthesis,
-};
+use mcs_opt::{hopa_priorities, minimal_slot_capacities, recommended_lengths};
 
 fn fig9c() -> System {
     let mut params = GeneratorParams::paper_sized(4, 1_000);
@@ -67,22 +61,6 @@ fn os_scan_requests(system: &System) -> Vec<BatchRequest> {
     requests
 }
 
-fn sa_params() -> SaParams {
-    SaParams {
-        iterations: 300,
-        ..SaParams::default()
-    }
-}
-
-fn run_sas(system: &System, width: usize) -> u64 {
-    Synthesis::builder(system)
-        .analysis(AnalysisParams::default())
-        .strategy(Sa::schedule(sa_params()).batch(width))
-        .run()
-        .expect("the SA start configuration is analyzable")
-        .evaluations
-}
-
 fn bench_batch_neighborhood(c: &mut Criterion) {
     let system = fig9c();
     let analysis = AnalysisParams::default();
@@ -105,10 +83,6 @@ fn bench_batch_neighborhood(c: &mut Criterion) {
     group.bench_function("os_scan_batched", |b| {
         b.iter(|| batched.evaluate_batch(&mut scratch, &requests))
     });
-
-    // SA proposal stream: whole strategy runs (identical trajectories).
-    group.bench_function("sa_sequential", |b| b.iter(|| run_sas(&system, 1)));
-    group.bench_function("sa_batched_w8", |b| b.iter(|| run_sas(&system, 8)));
     group.finish();
 
     // Bit-identity spot check outside the timed loops (the
@@ -121,12 +95,6 @@ fn bench_batch_neighborhood(c: &mut Criterion) {
     assert_eq!(
         sequential_results, batched_results,
         "batched OS scan drifted from the sequential delta path"
-    );
-    let sa_evaluations = run_sas(&system, 1);
-    assert_eq!(
-        sa_evaluations,
-        run_sas(&system, 8),
-        "batched SA drifted from the sequential trajectory"
     );
 
     let result_of = |criterion: &Criterion, suffix: &str, per_iter: f64| {
@@ -141,29 +109,21 @@ fn bench_batch_neighborhood(c: &mut Criterion) {
     let scan = requests.len() as f64;
     let scan_sequential = result_of(c, "os_scan_sequential_delta", scan);
     let scan_batched = result_of(c, "os_scan_batched", scan);
-    let sa = sa_evaluations as f64;
-    let sa_sequential = result_of(c, "sa_sequential", sa);
-    let sa_batched = result_of(c, "sa_batched_w8", sa);
     let body = format!(
         "{{\"instance\": \"fig9c paper_sized(4, 1000) + 10 inter-cluster — 160 processes\", \
          \"threads\": {}, \
          \"os_scan_candidates\": {}, \
          \"os_scan_sequential_evals_per_sec\": {scan_sequential:.2}, \
          \"os_scan_batched_evals_per_sec\": {scan_batched:.2}, \
-         \"os_scan_speedup\": {:.2}, \
-         \"sa_trace_evaluations\": {sa_evaluations}, \
-         \"sa_sequential_evals_per_sec\": {sa_sequential:.2}, \
-         \"sa_batched_w8_evals_per_sec\": {sa_batched:.2}, \
-         \"sa_speedup\": {:.2}}}",
+         \"os_scan_speedup\": {:.2}}}",
         rayon::current_num_threads(),
         requests.len(),
         scan_batched / scan_sequential.max(f64::MIN_POSITIVE),
-        sa_batched / sa_sequential.max(f64::MIN_POSITIVE),
     );
     mcs_bench::record_bench_section("batch_neighborhood", &body);
     println!(
-        "batch_neighborhood: OS scan {scan_sequential:.0}/s -> {scan_batched:.0}/s, \
-         SA {sa_sequential:.0}/s -> {sa_batched:.0}/s on {} thread(s)",
+        "batch_neighborhood: OS scan {scan_sequential:.0}/s -> {scan_batched:.0}/s \
+         on {} thread(s)",
         rayon::current_num_threads()
     );
 }

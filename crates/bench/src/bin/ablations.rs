@@ -6,7 +6,7 @@
 //! 3. OR seeded from the full OS seed pool vs. from the single best-δΓ
 //!    configuration.
 //!
-//! Ablations 1 and 3 run as [`mcs_opt::ExperimentRunner`] batches; the
+//! Ablations 1 and 3 run as [`mcs_opt::run_batch`] batches; the
 //! ablation-2 seed sweep fans out with `rayon` (`RAYON_NUM_THREADS` caps
 //! the workers). Rows are printed after collection, in seed order.
 
@@ -14,12 +14,11 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use mcs_bench::{cell, mean, ExperimentOptions};
+use mcs_bench::{cell, mean, point_reports, ExperimentOptions};
 use mcs_core::{multi_cluster_scheduling, AnalysisParams, FifoBound};
 use mcs_gen::{generate, GeneratorParams};
 use mcs_opt::{
-    hopa_priorities, straightforward_config, ExperimentJob, ExperimentRunner, Hopa, Or, OrParams,
-    OsParams, Sf,
+    hopa_priorities, run_batch, straightforward_config, Hopa, JobSpec, Or, OrParams, OsParams, Sf,
 };
 
 fn main() {
@@ -28,22 +27,22 @@ fn main() {
 
     println!("Ablation 1 — priority assignment (δΓ cost; lower is better)");
     println!("{:>6} {:>12} {:>12}", "seed", "index-order", "HOPA");
-    let mut runner = ExperimentRunner::new();
+    let mut jobs = Vec::new();
     for seed in 0..options.seeds {
         let system = Arc::new(generate(&GeneratorParams::paper_sized(4, seed)));
         let instance = format!("seed={seed}");
-        runner.push(ExperimentJob::new(
+        jobs.push(JobSpec::new(
             instance.clone(),
             Arc::clone(&system),
             analysis,
             Sf,
         ));
-        runner.push(ExperimentJob::new(instance, system, analysis, Hopa));
+        jobs.push(JobSpec::new(instance, system, analysis, Hopa));
     }
-    let records = runner.run();
+    let records = run_batch(jobs);
     for (seed, pair) in records.chunks_exact(2).enumerate() {
-        let index_order = pair[0].expect("SF analyzable").best.schedule_cost();
-        let hopa = pair[1].expect("HOPA analyzable").best.schedule_cost();
+        let [sf, hopa] = point_reports(pair).expect("SF and HOPA analyzable");
+        let (index_order, hopa) = (sf.best.schedule_cost(), hopa.best.schedule_cost());
         println!("{seed:>6} {index_order:>12} {hopa:>12}");
     }
     println!();
@@ -87,12 +86,12 @@ fn main() {
 
     println!("Ablation 3 — OR seeding (s_total in bytes; lower is better)");
     println!("{:>6} {:>12} {:>12}", "seed", "best-only", "seed-pool");
-    let mut runner = ExperimentRunner::new();
+    let mut jobs = Vec::new();
     for seed in 0..options.seeds {
         let system = Arc::new(generate(&GeneratorParams::paper_sized(2, seed)));
         let instance = format!("seed={seed}");
-        runner.push(
-            ExperimentJob::new(
+        jobs.push(
+            JobSpec::new(
                 instance.clone(),
                 Arc::clone(&system),
                 analysis,
@@ -100,8 +99,8 @@ fn main() {
             )
             .labelled("OR/seed-pool"),
         );
-        runner.push(
-            ExperimentJob::new(
+        jobs.push(
+            JobSpec::new(
                 instance,
                 system,
                 analysis,
@@ -116,11 +115,11 @@ fn main() {
             .labelled("OR/best-only"),
         );
     }
-    let records = runner.run();
+    let records = run_batch(jobs);
     let mut pool_wins = Vec::new();
     for (seed, pair) in records.chunks_exact(2).enumerate() {
-        let pool = pair[0].expect("OR analyzable").best.total_buffers;
-        let best_only = pair[1].expect("OR analyzable").best.total_buffers;
+        let [pool, best_only] = point_reports(pair).expect("OR analyzable");
+        let (pool, best_only) = (pool.best.total_buffers, best_only.best.total_buffers);
         println!("{seed:>6} {best_only:>12} {pool:>12}");
         pool_wins.push(best_only as f64 - pool as f64);
     }

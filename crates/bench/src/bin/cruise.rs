@@ -6,15 +6,15 @@
 //! of buffers, OR reduced that by 24 %, landing within 6 % of SAR.
 //!
 //! The five synthesis runs (SF, OS, OR, SAS, SAR) are one
-//! [`mcs_opt::ExperimentRunner`] batch fanned out across cores; each
-//! record carries its own wall-clock time.
+//! [`mcs_opt::run_batch`] batch fanned out across cores; each record
+//! carries its own wall-clock time.
 
 use std::sync::Arc;
 
-use mcs_bench::ExperimentOptions;
+use mcs_bench::{point_reports, ExperimentOptions};
 use mcs_core::AnalysisParams;
 use mcs_gen::cruise_controller;
-use mcs_opt::{ExperimentJob, ExperimentRunner, Or, OrParams, Os, OsParams, Sa, SaParams, Sf};
+use mcs_opt::{run_batch, JobSpec, Or, OrParams, Os, OsParams, Sa, SaParams, Sf};
 
 fn main() {
     let options = ExperimentOptions::from_args();
@@ -31,43 +31,26 @@ fn main() {
         ..SaParams::default()
     };
     let system = Arc::new(cc.system);
-    let mut runner = ExperimentRunner::new();
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Sf,
-    ));
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Os::new(OsParams::default()),
-    ));
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Or::new(OrParams::default()),
-    ));
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Sa::schedule(sa),
-    ));
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Sa::resources(sa),
-    ));
-    let records = runner.run();
-    let [sf, os, or, sas, sar]: &[mcs_opt::ExperimentRecord; 5] =
-        records[..].try_into().expect("five jobs");
-    let sf = &sf.expect("SF analyzable").best;
-    let os = &os.expect("OS analyzable").best;
-    let sas = &sas.expect("SAS analyzable").best;
+    let jobs = vec![
+        JobSpec::new("cruise", Arc::clone(&system), analysis, Sf),
+        JobSpec::new(
+            "cruise",
+            Arc::clone(&system),
+            analysis,
+            Os::new(OsParams::default()),
+        ),
+        JobSpec::new(
+            "cruise",
+            Arc::clone(&system),
+            analysis,
+            Or::new(OrParams::default()),
+        ),
+        JobSpec::new("cruise", Arc::clone(&system), analysis, Sa::schedule(sa)),
+        JobSpec::new("cruise", Arc::clone(&system), analysis, Sa::resources(sa)),
+    ];
+    let records = run_batch(jobs);
+    let [sf, os, or, sas, sar] = point_reports(&records).expect("every cruise run is analyzable");
+    let (sf, os, or, sas, sar) = (&sf.best, &os.best, &or.best, &sas.best, &sar.best);
 
     let verdict = |ok: bool| if ok { "meets" } else { "MISSES" };
     println!("end-to-end worst-case response (paper: SF 320 ms, OS/SAS 185 ms):");
@@ -88,20 +71,18 @@ fn main() {
     );
     println!();
     println!("total buffer need (paper: OS 1020 B, OR -24 %, OR within 6 % of SAR):");
-    let or_best = &or.expect("OR analyzable").best;
-    let sar_best = &sar.expect("SAR analyzable").best;
     let os_b = os.total_buffers as f64;
-    let or_b = or_best.total_buffers as f64;
-    let sar_b = sar_best.total_buffers as f64;
+    let or_b = or.total_buffers as f64;
+    let sar_b = sar.total_buffers as f64;
     println!("  OS  : {:>6} B", os.total_buffers);
     println!(
         "  OR  : {:>6} B  ({:+.0} % vs OS)",
-        or_best.total_buffers,
+        or.total_buffers,
         (or_b - os_b) / os_b * 100.0
     );
     println!(
         "  SAR : {:>6} B  (OR is {:+.0} % vs SAR)",
-        sar_best.total_buffers,
+        sar.total_buffers,
         (or_b - sar_b) / sar_b.max(1.0) * 100.0
     );
     println!();

@@ -4,8 +4,9 @@
 //! seeds)` cells through analysis, nominal simulation and fault-injecting
 //! simulation (see [`mcs_bench::campaign`]), writing one JSON line per cell
 //! to `BENCH_campaign.jsonl` and a one-line summary object to
-//! `BENCH_campaign.json`. The run fails (exit 1, offending lines printed)
-//! on any **hard** finding: a nominal soundness violation or a CAN
+//! `BENCH_campaign.json`, both in the root of the workspace it is run from
+//! ([`mcs_bench::output_path`]). The run fails (exit 1, offending lines
+//! printed) on any **hard** finding: a nominal soundness violation or a CAN
 //! frame-conservation breach. Fault-induced degradation is counted, not
 //! fatal.
 //!
@@ -31,6 +32,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mcs_bench::campaign::{run_campaign, run_cells, CampaignSpec};
+use mcs_bench::output_path;
 
 struct Args {
     spec: CampaignSpec,
@@ -80,11 +82,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn repo_root_path(name: &str) -> std::path::PathBuf {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    std::path::Path::new(root).join(name)
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
 
@@ -105,7 +102,7 @@ fn main() -> ExitCode {
     let jsonl_path = args
         .jsonl
         .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| repo_root_path("BENCH_campaign.jsonl"));
+        .unwrap_or_else(|| output_path("BENCH_campaign.jsonl"));
     match std::fs::File::create(&jsonl_path) {
         Ok(file) => {
             let mut writer = mcs_core::JsonLinesWriter::new(std::io::BufWriter::new(file));
@@ -128,7 +125,7 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("could not create {}: {e}", jsonl_path.display()),
     }
 
-    let summary_path = repo_root_path("BENCH_campaign.json");
+    let summary_path = output_path("BENCH_campaign.json");
     match std::fs::write(&summary_path, format!("{}\n", summary.json())) {
         Ok(_) => println!("recorded campaign summary in {}", summary_path.display()),
         Err(e) => eprintln!("could not write {}: {e}", summary_path.display()),

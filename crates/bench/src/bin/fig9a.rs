@@ -6,42 +6,42 @@
 //! schedulable system enter the averages; the count of SF failures is
 //! reported separately (the paper saw 26 of 150).
 //!
-//! Every (instance × strategy) run is one [`ExperimentRunner`] job, fanned
-//! out across cores (`RAYON_NUM_THREADS` caps the workers); records come
+//! Every (instance × strategy) run is one [`mcs_opt::run_batch`] job,
+//! fanned out across cores (`RAYON_NUM_THREADS` caps the workers); records come
 //! back in submission order, so the aggregated output is identical to a
 //! sequential sweep. Each record is also emitted as a JSON line (see
 //! `--jsonl`).
 
 use std::sync::Arc;
 
-use mcs_bench::{cell, mean, percent_deviation, write_jsonl, ExperimentOptions};
+use mcs_bench::{cell, mean, percent_deviation, point_reports, write_jsonl, ExperimentOptions};
 use mcs_core::AnalysisParams;
 use mcs_gen::{generate, GeneratorParams};
-use mcs_opt::{ExperimentJob, ExperimentRecord, ExperimentRunner, Os, OsParams, Sa, SaParams, Sf};
+use mcs_opt::{run_batch, JobSpec, Os, OsParams, Sa, SaParams, Sf};
 
 const NODE_COUNTS: [usize; 5] = [2, 4, 6, 8, 10];
 
 fn main() {
     let options = ExperimentOptions::from_args();
     let analysis = AnalysisParams::default();
-    let mut runner = ExperimentRunner::new();
+    let mut jobs = Vec::new();
     for nodes in NODE_COUNTS {
         for seed in 0..options.seeds {
             let system = Arc::new(generate(&GeneratorParams::paper_sized(nodes, seed)));
             let instance = format!("nodes={nodes},seed={seed}");
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
                 Arc::clone(&system),
                 analysis,
                 Sf,
             ));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
                 Arc::clone(&system),
                 analysis,
                 Os::new(OsParams::default()),
             ));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance,
                 Arc::clone(&system),
                 analysis,
@@ -53,7 +53,7 @@ fn main() {
             ));
         }
     }
-    let records = runner.run();
+    let records = run_batch(jobs);
     write_jsonl(&options.jsonl_path("fig9a"), &records);
 
     println!("Figure 9a — avg % deviation of δΓ from SAS (lower is better)");
@@ -70,20 +70,11 @@ fn main() {
         let mut os_dev = Vec::new();
         let mut sf_failed_here = 0;
         for _ in 0..options.seeds {
-            let [sf, os, sas]: &[ExperimentRecord; 3] = per_point
+            let point = per_point
                 .next()
-                .expect("three records per (nodes, seed) point")
-                .try_into()
-                .expect("chunks_exact");
+                .expect("three records per (nodes, seed) point");
             total += 1;
-            // A failed run (unanalyzable instance, panic) skips its
-            // instance in the aggregate instead of aborting the sweep.
-            let (Ok(sf), Ok(os), Ok(sas)) = (&sf.report, &os.report, &sas.report) else {
-                for record in [sf, os, sas] {
-                    if let Err(e) = &record.report {
-                        eprintln!("skipping {} ({}): {e}", record.instance, record.strategy);
-                    }
-                }
+            let Some([sf, os, sas]) = point_reports(point) else {
                 skipped += 1;
                 continue;
             };

@@ -4,8 +4,8 @@
 //! processes. The paper's headline: OR halves the buffer need of OS and
 //! tracks SAR closely.
 //!
-//! Every (instance × strategy) run is one [`ExperimentRunner`] job fanned
-//! out across cores (`RAYON_NUM_THREADS` caps the workers); records come
+//! Every (instance × strategy) run is one [`mcs_opt::run_batch`] job
+//! fanned out across cores (`RAYON_NUM_THREADS` caps the workers); records come
 //! back in submission order, so the aggregated output is identical to a
 //! sequential sweep. Each record is also emitted as a JSON line (see
 //! `--jsonl`). OS and OR are independent jobs — both are deterministic, so
@@ -13,34 +13,34 @@
 
 use std::sync::Arc;
 
-use mcs_bench::{cell, mean, write_jsonl, ExperimentOptions};
+use mcs_bench::{cell, mean, point_reports, write_jsonl, ExperimentOptions};
 use mcs_core::AnalysisParams;
 use mcs_gen::{generate, GeneratorParams};
-use mcs_opt::{ExperimentJob, ExperimentRecord, ExperimentRunner, Or, OrParams, Os, Sa, SaParams};
+use mcs_opt::{run_batch, JobSpec, Or, OrParams, Os, Sa, SaParams};
 
 const NODE_COUNTS: [usize; 5] = [2, 4, 6, 8, 10];
 
 fn main() {
     let options = ExperimentOptions::from_args();
     let analysis = AnalysisParams::default();
-    let mut runner = ExperimentRunner::new();
+    let mut jobs = Vec::new();
     for nodes in NODE_COUNTS {
         for seed in 0..options.seeds {
             let system = Arc::new(generate(&GeneratorParams::paper_sized(nodes, seed)));
             let instance = format!("nodes={nodes},seed={seed}");
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
                 Arc::clone(&system),
                 analysis,
                 Os::new(OrParams::default().os),
             ));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
                 Arc::clone(&system),
                 analysis,
                 Or::new(OrParams::default()),
             ));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance,
                 Arc::clone(&system),
                 analysis,
@@ -52,7 +52,7 @@ fn main() {
             ));
         }
     }
-    let records = runner.run();
+    let records = run_batch(jobs);
     write_jsonl(&options.jsonl_path("fig9b"), &records);
 
     println!("Figure 9b — avg total buffer need s_total [bytes] (lower is better)");
@@ -67,19 +67,10 @@ fn main() {
         let mut or_bytes = Vec::new();
         let mut sar_bytes = Vec::new();
         for _ in 0..options.seeds {
-            let [os, or, sar]: &[ExperimentRecord; 3] = per_point
+            let point = per_point
                 .next()
-                .expect("three records per (nodes, seed) point")
-                .try_into()
-                .expect("chunks_exact");
-            // A failed run (unanalyzable instance, panic) skips its
-            // instance in the aggregate instead of aborting the sweep.
-            let (Ok(os), Ok(or), Ok(sar)) = (&os.report, &or.report, &sar.report) else {
-                for record in [os, or, sar] {
-                    if let Err(e) = &record.report {
-                        eprintln!("skipping {} ({}): {e}", record.instance, record.strategy);
-                    }
-                }
+                .expect("three records per (nodes, seed) point");
+            let Some([os, or, sar]) = point_reports(point) else {
                 skipped += 1;
                 continue;
             };

@@ -3,8 +3,8 @@
 //! inter-cluster messages. The paper's headline: OS degrades quickly as the
 //! gateway traffic intensifies, while OR stays close to SAR.
 //!
-//! Every (instance × strategy) run is one [`mcs_opt::ExperimentRunner`]
-//! job fanned out across cores (`RAYON_NUM_THREADS` caps the workers);
+//! Every (instance × strategy) run is one [`mcs_opt::run_batch`] job
+//! fanned out across cores (`RAYON_NUM_THREADS` caps the workers);
 //! records come back in submission order, so the output is identical to a
 //! sequential sweep. Each record is also emitted as a JSON line (see
 //! `--jsonl`).

@@ -13,8 +13,8 @@
 //! workload of the paper's application model (§2.1) that the value-driven
 //! worklist engine exploits.
 //!
-//! Every (instance × strategy) run is one [`mcs_opt::ExperimentRunner`]
-//! job fanned out across cores (`RAYON_NUM_THREADS` caps the workers);
+//! Every (instance × strategy) run is one [`mcs_opt::run_batch`] job
+//! fanned out across cores (`RAYON_NUM_THREADS` caps the workers);
 //! records come back in submission order, so the output is identical to a
 //! sequential sweep. Each record is also emitted as a JSON line (see
 //! `--jsonl`).

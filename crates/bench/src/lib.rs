@@ -26,12 +26,12 @@
 //! paper used 30) and `--sa-iters N` (SA budget per instance, default 200;
 //! the paper ran hours-long anneals). `--paper-scale` selects 30 seeds and
 //! 2000 SA iterations. The `fig9*` sweeps additionally write one
-//! machine-readable JSON line per (instance × strategy) run — to
-//! `BENCH_<figure>.jsonl` in the repository root, or the `--jsonl PATH`
-//! override — alongside their text tables.
+//! machine-readable [`JobRecord`] JSON line per (instance × strategy) run —
+//! to `BENCH_<figure>.jsonl` in the workspace root ([`output_path`]), or
+//! the `--jsonl PATH` override — alongside their text tables.
 //!
-//! The sweeps are (instance × strategy) job queues served by
-//! [`mcs_opt::ExperimentRunner`]: embarrassingly parallel, dynamically
+//! The sweeps are batches of (instance × strategy) [`mcs_opt::JobSpec`]s
+//! served by [`mcs_opt::run_batch`]: embarrassingly parallel, dynamically
 //! load-balanced across cores (set `RAYON_NUM_THREADS` to cap the
 //! workers), with records collected in submission order — so parallel
 //! output is identical to a sequential run.
@@ -39,9 +39,36 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::{Path, PathBuf};
+
+use mcs_opt::{JobRecord, SynthesisReport};
+
 pub mod campaign;
 pub mod pr1_baseline;
 pub mod seed_baseline;
+
+/// The root of the workspace containing `start`: the nearest directory at
+/// or above `start` whose `Cargo.toml` has a `[workspace]` table, `None`
+/// when there is none.
+pub fn workspace_root(start: &Path) -> Option<&Path> {
+    start.ancestors().find(|dir| {
+        std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {
+            manifest
+                .lines()
+                .any(|line| line.split('#').next().unwrap_or("").trim() == "[workspace]")
+        })
+    })
+}
+
+/// The default location of the output file `name`: the root of the
+/// workspace the program is run from ([`workspace_root`] of the current
+/// directory), or the current directory outside any workspace. Resolved at
+/// run time, so a binary reused from another checkout's `target/` writes
+/// into the checkout it runs in, not the one it was built in.
+pub fn output_path(name: &str) -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_default();
+    workspace_root(&cwd).unwrap_or(&cwd).join(name)
+}
 
 /// Command-line options shared by the experiment binaries.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,23 +132,38 @@ impl ExperimentOptions {
     }
 
     /// The JSON-lines record path for `figure`: the `--jsonl` override, or
-    /// `BENCH_<figure>.jsonl` in the repository root (next to the text
-    /// tables and `BENCH_core.json`).
-    pub fn jsonl_path(&self, figure: &str) -> std::path::PathBuf {
+    /// `BENCH_<figure>.jsonl` in the workspace root ([`output_path`], next
+    /// to the text tables and `BENCH_core.json`).
+    pub fn jsonl_path(&self, figure: &str) -> PathBuf {
         match &self.jsonl {
             Some(path) => path.into(),
-            None => {
-                let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-                std::path::Path::new(root).join(format!("BENCH_{figure}.jsonl"))
-            }
+            None => output_path(&format!("BENCH_{figure}.jsonl")),
         }
     }
 }
 
-/// Writes one [`mcs_opt::ExperimentRecord`] JSON line per record to `path`
-/// (overwriting) and reports where they went. Errors are printed, not
-/// propagated — machine-readable records must never fail a sweep.
-pub fn write_jsonl(path: &std::path::Path, records: &[mcs_opt::ExperimentRecord]) {
+/// The reports of one sweep point — its `N` records, one per strategy —
+/// or `None` when any of its runs failed (unanalyzable instance, panic,
+/// no incumbent). Each failed record is reported on stderr, so a failed
+/// run skips its point instead of aborting the sweep.
+pub fn point_reports<const N: usize>(point: &[JobRecord]) -> Option<[&SynthesisReport; N]> {
+    let reports: Vec<&SynthesisReport> = point
+        .iter()
+        .filter_map(|record| {
+            let report = record.outcome.report();
+            if report.is_none() {
+                eprintln!("skipping {}", record.json_line());
+            }
+            report
+        })
+        .collect();
+    reports.try_into().ok()
+}
+
+/// Writes one [`JobRecord`] JSON line per record to `path` (overwriting)
+/// and reports where they went. Errors are printed, not propagated —
+/// machine-readable records must never fail a sweep.
+pub fn write_jsonl(path: &Path, records: &[JobRecord]) {
     let file = match std::fs::File::create(path) {
         Ok(f) => f,
         Err(e) => {
@@ -143,9 +185,9 @@ pub fn write_jsonl(path: &std::path::Path, records: &[mcs_opt::ExperimentRecord]
     }
 }
 
-/// Records one bench section into `BENCH_core.json` (repo root, or the
-/// `BENCH_CORE_JSON` path), merging with whatever other sections are
-/// already there. The file is a flat object with one single-line JSON
+/// Records one bench section into `BENCH_core.json` (the workspace root
+/// of [`output_path`], or the `BENCH_CORE_JSON` path), merging with
+/// whatever other sections are already there. The file is a flat object with one single-line JSON
 /// object per section:
 ///
 /// ```json
@@ -158,9 +200,9 @@ pub fn write_jsonl(path: &std::path::Path, records: &[mcs_opt::ExperimentRecord]
 /// `body` must be the section's single-line `{...}` object. Unparseable
 /// content (e.g. the pre-PR-2 single-object format) is discarded.
 pub fn record_bench_section(name: &str, body: &str) {
-    let path = std::env::var("BENCH_CORE_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json").to_string()
-    });
+    let path = std::env::var("BENCH_CORE_JSON")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| output_path("BENCH_core.json"));
     let mut sections: Vec<(String, String)> = Vec::new();
     if let Ok(existing) = std::fs::read_to_string(&path) {
         for line in existing.lines() {
@@ -185,9 +227,9 @@ pub fn record_bench_section(name: &str, body: &str) {
     }
     out.push_str("}\n");
     if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("could not write {path}: {e}");
+        eprintln!("could not write {}: {e}", path.display());
     } else {
-        println!("recorded bench section {name:?} in {path}");
+        println!("recorded bench section {name:?} in {}", path.display());
     }
 }
 
@@ -202,41 +244,41 @@ pub struct SweepRow {
     pub instances: Vec<(String, mcs_gen::GeneratorParams)>,
 }
 
-/// Runs OS, OR and SAR on every instance of every row through one
-/// [`mcs_opt::ExperimentRunner`] queue and prints the average %-deviation
-/// table of OS and OR from the SAR reference (the Fig-9c shape). Returns
-/// every record, row-major with OS/OR/SAR per instance, for JSON-lines
-/// emission.
+/// Runs OS, OR and SAR on every instance of every row as one
+/// [`mcs_opt::run_batch`] and prints the average %-deviation table of OS
+/// and OR from the SAR reference (the Fig-9c shape). Returns every record,
+/// row-major with OS/OR/SAR per instance, for JSON-lines emission.
 ///
-/// A failed run no longer aborts the sweep: its instance is skipped in the
-/// aggregate (and reported on stderr), the other instances still count —
-/// the per-record `Result` is the unit of failure, not the batch.
+/// A failed run does not abort the sweep: its instance is skipped in the
+/// aggregate (and reported on stderr, see [`point_reports`]), the other
+/// instances still count — the per-record outcome is the unit of failure,
+/// not the batch.
 ///
 /// OS and OR are independent jobs — both are deterministic, so the OS
 /// column equals the step-1 result inside OR. (The standalone OS pass is
 /// re-run inside OR, but it is a few percent of an OR+SAR job; the
 /// one-strategy-per-job model keeps records uniform.)
-pub fn run_deviation_sweep(sa_iters: u32, rows: &[SweepRow]) -> Vec<mcs_opt::ExperimentRecord> {
-    use mcs_opt::{ExperimentJob, Or, OrParams, Os, Sa, SaParams};
+pub fn run_deviation_sweep(sa_iters: u32, rows: &[SweepRow]) -> Vec<JobRecord> {
+    use mcs_opt::{JobSpec, Or, OrParams, Os, Sa, SaParams};
 
     let analysis = mcs_core::AnalysisParams::default();
-    let mut runner = mcs_opt::ExperimentRunner::new();
+    let mut jobs = Vec::new();
     for row in rows {
         for (seed_index, (instance, params)) in row.instances.iter().enumerate() {
             let system = std::sync::Arc::new(mcs_gen::generate(params));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
                 std::sync::Arc::clone(&system),
                 analysis,
                 Os::new(OrParams::default().os),
             ));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
                 std::sync::Arc::clone(&system),
                 analysis,
                 Or::new(OrParams::default()),
             ));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
                 std::sync::Arc::clone(&system),
                 analysis,
@@ -248,7 +290,7 @@ pub fn run_deviation_sweep(sa_iters: u32, rows: &[SweepRow]) -> Vec<mcs_opt::Exp
             ));
         }
     }
-    let records = runner.run();
+    let records = mcs_opt::run_batch(jobs);
 
     println!("{:>9} {:>10} {:>10} {:>8}", "messages", "OS", "OR", "used");
     let mut per_point = records.chunks_exact(3);
@@ -258,20 +300,11 @@ pub fn run_deviation_sweep(sa_iters: u32, rows: &[SweepRow]) -> Vec<mcs_opt::Exp
         let mut or_dev = Vec::new();
         for _ in 0..row.instances.len() {
             let point = per_point.next().expect("three records per instance");
-            let reports: Vec<_> = point
-                .iter()
-                .filter_map(|record| match &record.report {
-                    Ok(report) => Some(&report.best),
-                    Err(e) => {
-                        eprintln!("skipping {} ({}): {e}", record.instance, record.strategy);
-                        None
-                    }
-                })
-                .collect();
-            let [os, or, sar] = reports[..] else {
+            let Some([os, or, sar]) = point_reports(point) else {
                 failed += 1;
                 continue;
             };
+            let (os, or, sar) = (&os.best, &or.best, &sar.best);
             if os.is_schedulable() && or.is_schedulable() && sar.is_schedulable() {
                 let reference = sar.total_buffers as f64;
                 os_dev.push(percent_deviation(os.total_buffers as f64, reference));
@@ -342,5 +375,38 @@ mod tests {
     fn cells_align() {
         assert_eq!(cell(Some(1.25)).len(), 10);
         assert_eq!(cell(None).trim(), "-");
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_manifest_with_a_workspace_table() {
+        let tmp = std::env::temp_dir().join(format!("mcs-bench-root-{}", std::process::id()));
+        let outer = tmp.join("outer");
+        let member = outer.join("crates/member");
+        let inner = outer.join("tools/inner");
+        std::fs::create_dir_all(member.join("src")).unwrap();
+        std::fs::create_dir_all(inner.join("src")).unwrap();
+        std::fs::write(
+            outer.join("Cargo.toml"),
+            "[workspace] # the root\nmembers = [\"crates/member\"]\n\n[workspace.package]\n",
+        )
+        .unwrap();
+        // A member manifest (only `[workspace.*]`-style keys) is not a root.
+        std::fs::write(
+            member.join("Cargo.toml"),
+            "[package]\nname = \"member\"\nversion.workspace = true\n",
+        )
+        .unwrap();
+        // A package that declares its own (empty) workspace is its own root.
+        std::fs::write(
+            inner.join("Cargo.toml"),
+            "[package]\nname = \"inner\"\n\n[workspace]\n",
+        )
+        .unwrap();
+
+        assert_eq!(workspace_root(&member.join("src")), Some(outer.as_path()));
+        assert_eq!(workspace_root(&member), Some(outer.as_path()));
+        assert_eq!(workspace_root(&outer), Some(outer.as_path()));
+        assert_eq!(workspace_root(&inner.join("src")), Some(inner.as_path()));
+        std::fs::remove_dir_all(&tmp).unwrap();
     }
 }

@@ -32,13 +32,12 @@
 //! The contract — CI-enforced by the `batch_equivalence` suite like every
 //! prior layer — is that `evaluate_batch` returns **bit-identical** results
 //! to N sequential [`Evaluator::evaluate_delta`] calls made from the same
-//! base state: same summaries (δΓ, `s_total`, convergence metadata), same
-//! infeasibility verdicts, and — after [`Evaluator::adopt_lane`] — the same
-//! outcome maps. This holds because each lane evaluates its candidate
-//! against the same base fixed point a sequential call would extend, and
-//! the delta path itself is bit-identical to the full fixed point by the
-//! PR 2 contract. Results are returned in request order, independent of
-//! worker scheduling.
+//! base state: same summaries (δΓ, `s_total`, convergence metadata) and
+//! same infeasibility verdicts. This holds because each lane evaluates its
+//! candidate against the same base fixed point a sequential call would
+//! extend, and the delta path itself is bit-identical to the full fixed
+//! point. Results are returned in request order, independent of worker
+//! scheduling.
 //!
 //! # When batching degrades to sequential work
 //!
@@ -54,9 +53,8 @@
 
 use mcs_model::SystemConfig;
 
-use crate::context::{EvalSummary, Evaluator};
+use crate::context::Evaluator;
 use crate::delta::DeltaSeeds;
-use crate::multicluster::AnalysisError;
 
 /// One candidate of a batch evaluation: the configuration to analyze and a
 /// seed set over-approximating its difference to the batch base (the
@@ -72,19 +70,17 @@ pub struct BatchRequest {
     pub seeds: DeltaSeeds,
 }
 
-/// The reusable lane state of [`Evaluator::evaluate_batch`]: N lanes of
-/// fixed-point vectors, one per in-flight candidate, cleared — not
-/// reallocated — between batches (see the module docs above).
+/// The reusable lane state of [`Evaluator::evaluate_batch`]: N lanes, one
+/// private evaluator (own scratch, schedule memos and snapshots) per
+/// in-flight candidate, cleared — not reallocated — between batches (see
+/// the module docs above).
 ///
 /// A `BatchScratch` is bound to whatever system the evaluator that uses it
 /// analyzes; passing it to an evaluator of a different system transparently
 /// rebuilds the lanes.
 #[derive(Default)]
 pub struct BatchScratch<'s> {
-    pub(crate) lanes: Vec<Lane<'s>>,
-    /// Lanes holding results of the most recent batch (a prefix of
-    /// `lanes`); only these may be adopted.
-    pub(crate) live: usize,
+    pub(crate) lanes: Vec<Evaluator<'s>>,
 }
 
 impl<'s> std::fmt::Debug for BatchScratch<'s> {
@@ -93,36 +89,14 @@ impl<'s> std::fmt::Debug for BatchScratch<'s> {
     }
 }
 
-/// One candidate lane: a private evaluator (its own scratch, schedule
-/// memos and snapshots) plus the result of its last batch evaluation.
-pub(crate) struct Lane<'s> {
-    pub(crate) eval: Evaluator<'s>,
-    pub(crate) result: Option<Result<EvalSummary, AnalysisError>>,
-    /// `(delta, full)` holistic-pass increments of the last batch, folded
-    /// into the primary's [`Evaluator::delta_stats`] aggregate.
-    pub(crate) stats_gain: (u64, u64),
-}
-
 impl<'s> BatchScratch<'s> {
     /// Creates an empty scratch; lanes are built lazily on first use.
     pub fn new() -> Self {
-        BatchScratch {
-            lanes: Vec::new(),
-            live: 0,
-        }
+        BatchScratch { lanes: Vec::new() }
     }
 
     /// Number of lanes currently allocated (the high-water batch width).
     pub fn lanes(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Result of candidate `index` from the most recent batch, if any.
-    pub fn result(&self, index: usize) -> Option<&Result<EvalSummary, AnalysisError>> {
-        if index < self.live {
-            self.lanes[index].result.as_ref()
-        } else {
-            None
-        }
     }
 }

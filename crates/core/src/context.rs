@@ -46,8 +46,8 @@
 //!   (its derived releases are read straight off the snapshot), with its
 //!   seeds parked on the slot's pending list;
 //! * everything else — structural (TDMA) changes, stale/diverged/unstable
-//!   snapshots, cones past [`AnalysisParams::delta_frontier_percent`] —
-//!   falls back to the full fixed point of that iteration.
+//!   snapshots, cones past 75% of all analyzed entities — falls back to
+//!   the full fixed point of that iteration.
 //!
 //! Results are **bit-identical** to [`Evaluator::evaluate`] by
 //! construction; the equivalence is enforced by property tests in
@@ -63,7 +63,7 @@ use mcs_ttp::{
 
 use rayon::prelude::*;
 
-use crate::batch::{BatchRequest, BatchScratch, Lane};
+use crate::batch::{BatchRequest, BatchScratch};
 use crate::delta::{close_dirty, DeltaSeeds, DirtySet};
 use crate::holistic::Holistic;
 use crate::multicluster::{AnalysisError, AnalysisParams};
@@ -916,11 +916,13 @@ impl<'s> Evaluator<'s> {
             &mut self.scratch.msg_release,
         );
 
-        // Frontier bound: a dirty cone past this size pays the delta
-        // bookkeeping without saving kernel work.
+        // Frontier bound, in percent of all analyzed entities (processes +
+        // both message legs): a dirty cone past it pays the delta
+        // bookkeeping without saving kernel work, so the iteration takes
+        // the full fixed point instead.
+        const DELTA_FRONTIER_PERCENT: usize = 75;
         let entity_total = self.ctx.proc_is_tt.len() + 2 * self.ctx.route.len();
-        let cone_limit =
-            entity_total.saturating_mul(self.params.delta_frontier_percent.min(100) as usize) / 100;
+        let cone_limit = entity_total.saturating_mul(DELTA_FRONTIER_PERCENT) / 100;
 
         let mut iterations = 0;
         let mut settled = false;
@@ -1294,8 +1296,6 @@ impl<'s> Evaluator<'s> {
     /// [`delta_stats`](Self::delta_stats) absorb the lanes' holistic-pass
     /// counts), so the accumulated-seed discipline of a search loop carries
     /// over unchanged: every request's seeds are relative to the same base.
-    /// Use [`adopt_lane`](Self::adopt_lane) to step onto an accepted
-    /// candidate.
     ///
     /// Infeasible candidates are not an error of the batch: their lane
     /// reports its [`AnalysisError`] in the returned vector, exactly as the
@@ -1305,7 +1305,6 @@ impl<'s> Evaluator<'s> {
         scratch: &mut BatchScratch<'s>,
         requests: &[BatchRequest],
     ) -> Vec<Result<EvalSummary, AnalysisError>> {
-        scratch.live = 0;
         if requests.is_empty() {
             return Vec::new();
         }
@@ -1313,16 +1312,12 @@ impl<'s> Evaluator<'s> {
         if scratch
             .lanes
             .first()
-            .is_some_and(|lane| !std::ptr::eq(lane.eval.system, self.system))
+            .is_some_and(|lane| !std::ptr::eq(lane.system, self.system))
         {
             scratch.lanes.clear();
         }
         while scratch.lanes.len() < requests.len() {
-            scratch.lanes.push(Lane {
-                eval: Evaluator::new(self.system, self.params),
-                result: None,
-                stats_gain: (0, 0),
-            });
+            scratch.lanes.push(Evaluator::new(self.system, self.params));
         }
         // Mirror `evaluate_delta`'s latch on the primary: once a search
         // issues non-structural delta work, every primary evaluation keeps
@@ -1337,70 +1332,40 @@ impl<'s> Evaluator<'s> {
             .map(|r| self.delta_applicable(&r.config, &r.seeds))
             .collect();
         let primary: &Evaluator<'s> = self;
-        scratch.lanes[..requests.len()]
+        // Each lane returns its result plus its `(delta, full)`
+        // holistic-pass increments, folded into the primary aggregate below.
+        let lane_runs: Vec<(Result<EvalSummary, AnalysisError>, (u64, u64))> = scratch.lanes
+            [..requests.len()]
             .par_iter_mut()
             .enumerate()
-            .for_each(|(i, lane)| {
+            .map(|(i, lane)| {
                 let req = &requests[i];
                 if plans[i] {
                     // The sync overwrites the lane's pass counters with the
                     // primary aggregate, so the baseline is read after it.
-                    lane.eval.clone_state_from(primary);
+                    lane.clone_state_from(primary);
                 } else if !req.seeds.is_structural() {
                     // Full path: no base state needed — but keep the
                     // delta-live latch consistent with the sequential call.
-                    lane.eval.delta_live = true;
+                    lane.delta_live = true;
                 }
-                let (d0, f0) = lane.eval.delta_stats();
+                let (d0, f0) = lane.delta_stats();
                 let result = if plans[i] {
-                    lane.eval.evaluate_delta(&req.config, &req.seeds)
+                    lane.evaluate_delta(&req.config, &req.seeds)
                 } else {
-                    lane.eval.evaluate(&req.config)
+                    lane.evaluate(&req.config)
                 };
-                let (d1, f1) = lane.eval.delta_stats();
-                lane.stats_gain = (d1 - d0, f1 - f0);
-                lane.result = Some(result);
-            });
-        scratch.live = requests.len();
+                let (d1, f1) = lane.delta_stats();
+                (result, (d1 - d0, f1 - f0))
+            })
+            .collect();
         let mut results = Vec::with_capacity(requests.len());
-        for lane in &scratch.lanes[..requests.len()] {
-            self.delta_evals += lane.stats_gain.0;
-            self.full_evals += lane.stats_gain.1;
-            // mcs-lint: allow(panic-policy) -- the par loop above stored a result into every lane of ..requests.len()
-            results.push(lane.result.clone().expect("every live lane evaluated"));
+        for (result, (delta, full)) in lane_runs {
+            self.delta_evals += delta;
+            self.full_evals += full;
+            results.push(result);
         }
         results
-    }
-
-    /// Makes lane `index` of the last [`evaluate_batch`](Self::evaluate_batch)
-    /// the primary state: after the call this evaluator holds exactly the
-    /// state a sequential [`evaluate_delta`](Self::evaluate_delta) of that
-    /// candidate would have left behind — its snapshots are the delta
-    /// baseline of the next call, its configuration is the accumulated
-    /// seeds' new base, and [`outcome`](Self::outcome) materializes the
-    /// candidate's result maps. O(1): the two states are swapped, not
-    /// copied (the lane inherits the old primary state and is re-synced by
-    /// the next batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the last batch or the lane's evaluation
-    /// failed (an invalid candidate leaves no state worth adopting).
-    pub fn adopt_lane(&mut self, scratch: &mut BatchScratch<'s>, index: usize) {
-        assert!(
-            index < scratch.live,
-            "adopt_lane: lane {index} is not part of the last batch"
-        );
-        let lane = &mut scratch.lanes[index];
-        assert!(
-            matches!(lane.result, Some(Ok(_))),
-            "adopt_lane: lane {index} holds no successful evaluation"
-        );
-        std::mem::swap(self, &mut lane.eval);
-        // The batch already folded every lane's holistic-pass gains into
-        // the primary aggregate; keep that aggregate on the primary.
-        std::mem::swap(&mut self.delta_evals, &mut lane.eval.delta_evals);
-        std::mem::swap(&mut self.full_evals, &mut lane.eval.full_evals);
     }
 
     /// Whether the delta preconditions hold for `config`: non-structural

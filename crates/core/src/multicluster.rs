@@ -51,14 +51,6 @@ pub struct AnalysisParams {
     pub max_outer_iterations: u32,
     /// Bound used for the gateway `Out_TTP` FIFO.
     pub fifo_bound: FifoBound,
-    /// Frontier bound of delta evaluation, in percent of all analyzed
-    /// entities (processes + both message legs):
-    /// [`Evaluator::evaluate_delta`](crate::Evaluator::evaluate_delta) falls
-    /// back to the full fixed point when the closed dirty cone grows past
-    /// this fraction — a near-total cone pays the delta bookkeeping without
-    /// saving kernel work. `100` disables the bound, `0` disables the delta
-    /// path.
-    pub delta_frontier_percent: u32,
 }
 
 impl Default for AnalysisParams {
@@ -68,7 +60,6 @@ impl Default for AnalysisParams {
             max_holistic_iterations: 64,
             max_outer_iterations: 16,
             fifo_bound: FifoBound::default(),
-            delta_frontier_percent: 75,
         }
     }
 }

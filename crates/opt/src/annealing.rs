@@ -18,7 +18,6 @@ use mcs_core::{DeltaSeeds, EvalSummary};
 use mcs_model::{System, SystemConfig};
 
 use crate::hopa::hopa_priorities;
-use crate::moves::Move;
 use crate::sampler::MoveSampler;
 use crate::sf::straightforward_config;
 use crate::synthesis::{Objective, SearchCtx, SearchEvent, Strategy, SynthesisError};
@@ -81,7 +80,6 @@ pub struct Sa<'c> {
     params: SaParams,
     cost: SaCost<'c>,
     start: Option<SystemConfig>,
-    width: usize,
     name: &'static str,
 }
 
@@ -98,7 +96,6 @@ impl<'c> Sa<'c> {
             params,
             cost: SaCost::Objective(Objective::Schedule),
             start: None,
-            width: 1,
             name: "SAS",
         }
     }
@@ -110,7 +107,6 @@ impl<'c> Sa<'c> {
             params,
             cost: SaCost::Objective(Objective::Resources),
             start: None,
-            width: 1,
             name: "SAR",
         }
     }
@@ -121,7 +117,6 @@ impl<'c> Sa<'c> {
             params,
             cost: SaCost::Custom(Box::new(cost)),
             start: None,
-            width: 1,
             name: "SA",
         }
     }
@@ -129,23 +124,6 @@ impl<'c> Sa<'c> {
     /// Overrides the start configuration (default: [`sa_start`]).
     pub fn with_start(mut self, start: SystemConfig) -> Self {
         self.start = Some(start);
-        self
-    }
-
-    /// Enables batched proposals: up to `width` moves are sampled along the
-    /// all-reject continuation of the trajectory and pre-evaluated as one
-    /// data-parallel candidate batch
-    /// ([`SearchCtx::evaluate_candidates`]-family), then consumed in
-    /// sampler order for as long as the authoritative trajectory agrees
-    /// with the speculation. The accept/reject trajectory — and with it the
-    /// seeded event stream, budget accounting and final report — is
-    /// **unchanged** from the sequential run: the speculation only decides
-    /// *where* each candidate's fixed point is computed, never *which*
-    /// candidates are visited (enforced by the `batch_equivalence` suite).
-    ///
-    /// A `width` of 0 or 1 keeps the sequential proposal loop.
-    pub fn batch(mut self, width: usize) -> Self {
-        self.width = width.max(1);
         self
     }
 }
@@ -170,63 +148,9 @@ impl Strategy for Sa<'_> {
         // analysis — cleared after every successful evaluation, re-fed with
         // the undo's entities whenever a candidate is reverted.
         let mut seeds = DeltaSeeds::new();
-        // Batched mode: the speculation window. `window[window_pos..]` holds
-        // moves sampled along the all-reject continuation, each with a
-        // pre-evaluated candidate at the same index of the current batch.
-        // The window stays valid only while the authoritative trajectory
-        // keeps rejecting feasible candidates — the one outcome that leaves
-        // the base configuration, the accepted summary AND the rng replica
-        // aligned with the speculation (a worsening reject consumes exactly
-        // the one accept draw the speculation burned). Every other outcome
-        // invalidates the remainder.
-        let mut window: Vec<Move> = Vec::new();
-        let mut window_pos = 0usize;
-        let mut spec_seeds = DeltaSeeds::new();
-        // Speculation depth, adapted to the observed reject run length:
-        // fully consumed windows double it (cold phase, long reject runs),
-        // a break resizes it to twice the run that did hit (hot phase,
-        // frequent accepts). Keeps the wasted lanes per consumed candidate
-        // bounded while still filling `width` lanes when the trajectory
-        // rewards it. Depth never changes *which* candidates the trajectory
-        // visits — only how many are speculated per batch.
-        let mut depth = 2usize.min(self.width);
-        for iteration in 0..self.params.iterations {
+        for _ in 0..self.params.iterations {
             if ctx.exhausted() {
                 break;
-            }
-            if self.width > 1 && window_pos >= window.len() {
-                if !window.is_empty() {
-                    depth = (window.len() * 2).clamp(2, self.width);
-                }
-                window.clear();
-                window_pos = 0;
-                let remaining = (self.params.iterations - iteration) as usize;
-                let mut spec_rng = rng.clone();
-                ctx.begin_candidates();
-                for position in 0..depth.min(remaining) {
-                    let Some(mv) =
-                        sampler.sample(system, &config, ctx.evaluator(), &current, &mut spec_rng)
-                    else {
-                        break;
-                    };
-                    // Pin moves anchor on the evaluator's analyzed timings,
-                    // which every consumed candidate may shift — only the
-                    // window head samples against the authoritative state,
-                    // so a pin at a later position would speculate against
-                    // stale anchors. Truncate instead of wasting a lane.
-                    if position > 0 && matches!(mv, Move::PinProcess(..) | Move::PinMessage(..)) {
-                        break;
-                    }
-                    spec_seeds.clear();
-                    spec_seeds.merge(&seeds);
-                    let undo = mv.apply_undoable_seeded(&mut config, &mut spec_seeds);
-                    ctx.push_candidate(&config, &spec_seeds);
-                    undo.revert(&mut config);
-                    window.push(mv);
-                    // The accept test of the speculated reject.
-                    let _accept_draw: f64 = spec_rng.gen();
-                }
-                ctx.evaluate_candidates_queued();
             }
             let Some(mv) = sampler.sample(system, &config, ctx.evaluator(), &current, &mut rng)
             else {
@@ -238,38 +162,14 @@ impl Strategy for Sa<'_> {
                 evaluations: ctx.evaluations(),
                 temperature,
             });
-            // A window position hits when the authoritative draw reproduces
-            // the speculated move: the candidate configurations are then
-            // identical, so the pre-computed fixed point stands in for the
-            // sequential `evaluate_delta` bit-for-bit. On a miss the rng
-            // replica has diverged — drop the window and fall back.
-            let hit = window_pos < window.len() && window[window_pos] == mv;
-            let outcome = if hit {
-                let index = window_pos;
-                let result = ctx.consume_candidate(index);
-                if result.is_ok() {
-                    // Leave the evaluator exactly where the sequential call
-                    // would have: holding the candidate's converged state.
-                    ctx.adopt_candidate(index);
-                }
-                result
-            } else {
-                window.clear();
-                window_pos = 0;
-                ctx.evaluate_delta(&config, &seeds)
-            };
-            let Ok(candidate) = outcome else {
+            let Ok(candidate) = ctx.evaluate_delta(&config, &seeds) else {
                 // Infeasible neighbor: the evaluator's state is unchanged,
-                // so the seeds keep accumulating across the revert. No
-                // accept draw was consumed, so the speculation's rng
-                // replica is ahead — the window cannot hit again.
+                // so the seeds keep accumulating across the revert.
                 ctx.emit(SearchEvent::Infeasible {
                     evaluations: ctx.evaluations(),
                 });
                 undo.record_seeds(&mut seeds);
                 undo.revert(&mut config);
-                window.clear();
-                window_pos = 0;
                 continue;
             };
             seeds.clear();
@@ -289,16 +189,9 @@ impl Strategy for Sa<'_> {
                     ctx.record_incumbent(candidate, &config);
                 }
                 current = candidate;
-                // The acceptance re-bases the search; the remaining window
-                // was speculated from the old base.
-                window.clear();
-                window_pos = 0;
             } else {
                 undo.record_seeds(&mut seeds);
                 undo.revert(&mut config);
-                if hit {
-                    window_pos += 1;
-                }
             }
         }
         Ok(())

@@ -15,10 +15,11 @@
 //! * [`Sf`] (SF), [`Sa::schedule`] (SAS) and [`Sa::resources`] (SAR) — the
 //!   evaluation baselines.
 //!
-//! On top of single runs, [`Portfolio`] races strategies on one instance
-//! across rayon workers and [`ExperimentRunner`] serves whole batches of
-//! (instance × strategy) jobs — the layer the paper-reproduction sweeps
-//! and any future traffic sit on.
+//! On top of single runs, [`Portfolio`] runs several strategies on one
+//! instance across rayon workers and picks a winner deterministically, and
+//! the [`serve`] module's [`SynthesisService`] serves (instance × strategy)
+//! jobs — streamed, or as a whole batch through [`run_batch`], the layer
+//! the paper-reproduction sweeps sit on.
 //!
 //! The free functions of the pre-`Synthesis` API (`optimize_schedule`,
 //! `optimize_resources`, `sa_schedule`, `sa_resources`, `anneal`) have
@@ -108,17 +109,17 @@ pub use annealing::{sa_start, Sa, SaParams};
 pub use cost::{evaluate, resource_cost, Evaluation};
 pub use hopa::{hopa_priorities, Hopa};
 pub use moves::{neighborhood, neighborhood_into, Move, MoveUndo};
-pub use or::{Or, OrDetails, OrParams, OrResult};
-pub use os::{recommended_lengths, Os, OsParams, OsResult};
+pub use or::{Or, OrDetails, OrParams};
+pub use os::{recommended_lengths, Os, OsParams};
 pub use sampler::MoveSampler;
 pub use sensitivity::{criticality_ranking, wcet_slack, WcetSlack};
 pub use serve::{
-    CancelCause, JobId, JobOutcome, JobRecord, JobSpec, RetryPolicy, ServiceConfig, SubmitError,
-    SynthesisService,
+    run_batch, CancelCause, JobId, JobOutcome, JobRecord, JobSpec, RetryPolicy, ServiceConfig,
+    SubmitError, SynthesisService,
 };
 pub use sf::{minimal_slot_capacities, straightforward_config, Sf};
 pub use synthesis::{
-    Budget, BudgetAxis, CancelToken, EventCounter, ExperimentJob, ExperimentRecord,
-    ExperimentRunner, Objective, Observer, Portfolio, PortfolioReport, SearchCtx, SearchEvent,
-    Selection, Strategy, Synthesis, SynthesisError, SynthesisReport, TrajectoryPoint,
+    Budget, BudgetAxis, CancelToken, EventCounter, Objective, Observer, Portfolio, PortfolioReport,
+    SearchCtx, SearchEvent, Selection, Strategy, Synthesis, SynthesisError, SynthesisReport,
+    TrajectoryPoint,
 };

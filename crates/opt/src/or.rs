@@ -18,7 +18,7 @@ use mcs_model::SystemConfig;
 
 use crate::cost::{materialize, Evaluation};
 use crate::moves::{neighborhood_into, Move};
-use crate::os::{Os, OsParams, OsResult};
+use crate::os::{Os, OsParams};
 use crate::synthesis::{SearchCtx, SearchEvent, Strategy, SynthesisError};
 
 /// Tuning of the OR hill climber.
@@ -43,17 +43,6 @@ impl Default for OrParams {
     }
 }
 
-/// The result of the legacy `OptimizeResources` entry point.
-#[derive(Clone, Debug)]
-pub struct OrResult {
-    /// The best (schedulable, minimal `s_total`) configuration found.
-    pub best: Evaluation,
-    /// The step-1 result the climb started from.
-    pub os: OsResult,
-    /// Number of `MultiClusterScheduling` evaluations performed in step 2.
-    pub evaluations: u32,
-}
-
 /// What the OR pipeline learned along the way, available through
 /// [`Or::details`] after a run.
 #[derive(Clone, Debug)]
@@ -64,8 +53,7 @@ pub struct OrDetails {
     pub os_seeds: Vec<SystemConfig>,
     /// Evaluations spent in step 1.
     pub os_evaluations: u64,
-    /// Neighbor evaluations spent in step 2 (the count the legacy
-    /// `OrResult::evaluations` reported).
+    /// Neighbor evaluations spent in step 2.
     pub climb_evaluations: u64,
 }
 

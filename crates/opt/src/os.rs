@@ -18,7 +18,6 @@
 use mcs_core::{DeltaSeeds, EvalSummary};
 use mcs_model::{MessageRoute, NodeId, System, SystemConfig, TdmaConfig, TdmaSlot};
 
-use crate::cost::Evaluation;
 use crate::hopa::hopa_priorities;
 use crate::sf::minimal_slot_capacities;
 use crate::synthesis::{SearchCtx, SearchEvent, Strategy, SynthesisError};
@@ -39,18 +38,6 @@ impl Default for OsParams {
             seed_limit: 6,
         }
     }
-}
-
-/// The result of the legacy `OptimizeSchedule` entry point.
-#[derive(Clone, Debug)]
-pub struct OsResult {
-    /// The best configuration found (by δΓ, ties broken by `s_total`).
-    pub best: Evaluation,
-    /// Seed configurations for the second optimization step: the best by
-    /// δΓ and the schedulable ones with the smallest `s_total`.
-    pub seeds: Vec<SystemConfig>,
-    /// Number of `MultiClusterScheduling` evaluations performed.
-    pub evaluations: u32,
 }
 
 /// Recommended slot lengths for `node` (paper §5.1, after Eles et al.
@@ -308,7 +295,7 @@ impl SeedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::evaluate;
+    use crate::cost::{evaluate, Evaluation};
     use crate::synthesis::Synthesis;
     use mcs_core::AnalysisParams;
     use mcs_gen::{figure4, generate, GeneratorParams};

@@ -1,14 +1,13 @@
 //! `mcs::serve` — the resilient streaming synthesis service.
 //!
-//! [`ExperimentRunner`](crate::ExperimentRunner) serves a *static* batch:
-//! every job is known up front, the pool drains it, the program ends. This
-//! module is the always-on evolution of that shape — the serving-robustness
-//! layer an inference stack needs: admission control, deadlines, isolation
-//! and resume. A [`SynthesisService`] owns a fixed worker pool fed from a
-//! bounded priority queue; jobs are submitted while earlier ones run, and
-//! every job ends in a structured [`JobRecord`] streamed back to the
-//! consumer (with a stable JSON-lines rendering via
-//! [`mcs_core::json_line`]).
+//! A [`SynthesisService`] owns a fixed worker pool fed from a bounded
+//! priority queue, with admission control, deadlines, isolation and
+//! resume; jobs are submitted while earlier ones run, and every job ends
+//! in a structured [`JobRecord`] streamed back to the consumer (with a
+//! stable JSON-lines rendering via [`mcs_core::json_line`]).
+//! [`run_batch`] serves a *static* batch on it — every job known up front,
+//! the pool drains it, records come back in submission order — and is
+//! what the paper-reproduction sweeps sit on.
 //!
 //! # Contracts
 //!
@@ -875,6 +874,35 @@ impl Drop for SynthesisService {
             let _ = self.shutdown_inner(false);
         }
     }
+}
+
+/// Runs a static batch to completion: starts a pool sized to the batch
+/// (`RAYON_NUM_THREADS` caps the workers), submits every job, shuts down
+/// gracefully and returns the records sorted by [`JobId`] — submission
+/// order, so a parallel batch yields byte-identical output to a sequential
+/// one.
+///
+/// Each job is isolated like any service job: a panicking strategy yields
+/// a [`JobOutcome::Panicked`] record while every other job completes, and
+/// a job past its [`JobSpec::deadline`] reports its partial result as
+/// [`JobOutcome::TimedOut`].
+pub fn run_batch(jobs: Vec<JobSpec>) -> Vec<JobRecord> {
+    if jobs.is_empty() {
+        return Vec::new();
+    }
+    let service = SynthesisService::start(ServiceConfig {
+        workers: ServiceConfig::default().workers.min(jobs.len()),
+        // The whole batch is known up front: size the queue to it so
+        // submission never blocks.
+        queue_capacity: jobs.len(),
+        ..ServiceConfig::default()
+    });
+    for job in jobs {
+        service.try_submit(job).expect("queue sized to the batch");
+    }
+    let mut records = service.shutdown();
+    records.sort_by_key(|record| record.id);
+    records
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 //! The synthesis front door: one strategy-driven driver for every search
-//! heuristic of the paper, plus portfolio execution and batch experiment
-//! serving.
+//! heuristic of the paper, plus portfolio execution.
 //!
 //! Historically each heuristic (SF, SAS/SAR annealing, OS, OR, HOPA
 //! seeding) was a free function hand-wiring its own [`Evaluator`], loop and
 //! result struct, and every experiment binary re-implemented the same
-//! driver glue. This module replaces that with three composable layers:
+//! driver glue. This module replaces that with two composable layers:
 //!
 //! 1. **[`Synthesis`]** — a builder-style driver running *one*
 //!    [`Strategy`] against *one* system:
@@ -25,15 +24,13 @@
 //!    println!("schedulable: {}", report.best.is_schedulable());
 //!    ```
 //!
-//! 2. **[`Portfolio`]** — N strategies (or N seeds of one strategy) racing
+//! 2. **[`Portfolio`]** — N strategies (or N seeds of one strategy) run
 //!    on the same instance across rayon workers, with deterministic winner
 //!    selection ([`Selection::FirstSchedulable`] or
 //!    [`Selection::BestCost`]).
 //!
-//! 3. **[`ExperimentRunner`]** — a batch queue of (instance × strategy)
-//!    jobs fanned out across cores; the serving layer the `fig9` sweeps
-//!    sit on. Every job produces an [`ExperimentRecord`] with a stable
-//!    JSON-lines rendering (via [`mcs_core::json_line`]).
+//! Batches of (instance × strategy) jobs — the `fig9` sweeps — run on the
+//! [`crate::serve`] service through [`crate::serve::run_batch`].
 //!
 //! # The `Strategy` contract
 //!
@@ -69,12 +66,11 @@
 //! Every strategy shipped here is a pure function of (system, analysis
 //! params, strategy params, budget): a seeded run reproduces its **entire
 //! event stream** — same events, same order, same payloads — and therefore
-//! its report, bit for bit. [`Portfolio::run`] and [`ExperimentRunner::run`]
-//! preserve that: results are collected in submission order regardless of
-//! worker interleaving, and winner selection is a deterministic function of
-//! the collected reports (ties break toward the lowest entry index). The
-//! only escape hatch is [`Portfolio::race`], which trades reproducibility
-//! of the *losing* reports for wall-clock time.
+//! its report, bit for bit. [`Portfolio::run`] and
+//! [`crate::serve::run_batch`] preserve that: results are collected in
+//! submission order regardless of worker interleaving, and winner selection
+//! is a deterministic function of the collected reports (ties break toward
+//! the lowest entry index).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -208,8 +204,7 @@ impl BudgetAxis {
 ///
 /// Cloning shares the flag; [`CancelToken::cancel`] makes every
 /// [`SearchCtx`] carrying a clone report [`exhausted`](SearchCtx::exhausted)
-/// from then on. Used by [`Portfolio::race`] to stop the losers once a
-/// winner emerges.
+/// from then on.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -499,13 +494,6 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
         self.evaluator
     }
 
-    /// Escape hatch: direct mutable access to the evaluator. Analyses run
-    /// through it are **not** counted against the budget; prefer
-    /// [`evaluate`](Self::evaluate) / [`evaluate_delta`](Self::evaluate_delta).
-    pub fn evaluator_mut(&mut self) -> &mut Evaluator<'s> {
-        self.evaluator
-    }
-
     /// Evaluations performed so far (full and delta alike).
     pub fn evaluations(&self) -> u64 {
         self.evaluations
@@ -573,9 +561,8 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
     // -- Candidate batches ---------------------------------------------------
     //
     // A strategy that fans out sibling candidates (OS's per-position slot
-    // scans, OR's neighborhood scan, SA's speculative proposal window)
-    // submits them all at once and then *consumes* the pre-computed results
-    // in its original sequential order:
+    // scans, OR's neighborhood scan) submits them all at once and then
+    // *consumes* the pre-computed results in its original sequential order:
     //
     //   ctx.begin_candidates();
     //   for c in candidates { ctx.push_candidate(&config_c, &seeds_c); }
@@ -587,10 +574,9 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
     // sequential loop would have performed it. Results are bit-identical to
     // sequential `evaluate_delta` calls from the same base state
     // ([`Evaluator::evaluate_batch`]), so the strategy's decisions — and
-    // with them the whole event stream — are unchanged; speculative
-    // candidates that are never consumed (budget exhausted mid-scan, an SA
-    // window broken by an accept) simply never existed as far as the budget
-    // and the observers are concerned.
+    // with them the whole event stream — are unchanged; candidates that are
+    // never consumed (budget exhausted mid-scan) simply never existed as far
+    // as the budget and the observers are concerned.
 
     /// Starts a fresh candidate batch, clearing any previous one (request
     /// slots and lanes keep their allocations).
@@ -652,11 +638,6 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
         self.batch_len
     }
 
-    /// Width of the current batch.
-    pub fn batch_len(&self) -> usize {
-        self.batch_len
-    }
-
     /// The configuration of candidate `index` of the current batch.
     ///
     /// # Panics
@@ -685,14 +666,6 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
         );
         self.evaluations += 1;
         self.batch_results[index].clone()
-    }
-
-    /// Adopts candidate `index`'s lane as the evaluator's primary state
-    /// ([`Evaluator::adopt_lane`]): afterwards the evaluator holds exactly
-    /// what a sequential `evaluate_delta` of that candidate would have left,
-    /// so subsequent delta evaluations may seed against it.
-    pub fn adopt_candidate(&mut self, index: usize) {
-        self.evaluator.adopt_lane(&mut self.batch, index);
     }
 
     /// The current incumbent, if any was recorded yet.
@@ -789,7 +762,7 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
 /// [module docs](self) for the full contract): evaluate through the
 /// context, record incumbents, poll [`SearchCtx::exhausted`], emit events.
 /// `Send` is required so strategies can fan out across [`Portfolio`] and
-/// [`ExperimentRunner`] workers.
+/// [`crate::serve`] workers.
 pub trait Strategy: Send {
     /// A stable, human-readable strategy name (`"SF"`, `"SAS"`, …).
     fn name(&self) -> &'static str;
@@ -1083,7 +1056,6 @@ pub struct Portfolio<'s, 'a> {
     entries: Vec<(String, Box<dyn Strategy + 'a>)>,
     budget: Budget,
     selection: Selection,
-    race: bool,
 }
 
 impl<'s, 'a> std::fmt::Debug for Portfolio<'s, 'a> {
@@ -1103,7 +1075,6 @@ impl<'s, 'a> Portfolio<'s, 'a> {
             entries: Vec::new(),
             budget: Budget::UNLIMITED,
             selection: Selection::FirstSchedulable,
-            race: false,
         }
     }
 
@@ -1131,16 +1102,6 @@ impl<'s, 'a> Portfolio<'s, 'a> {
         self
     }
 
-    /// Enables racing: as soon as any entry records a schedulable
-    /// incumbent, every other entry is cooperatively cancelled. The winner
-    /// under [`Selection::FirstSchedulable`] may then depend on worker
-    /// timing — racing trades determinism for wall-clock time; leave it off
-    /// (the default) for reproducible sweeps.
-    pub fn race(mut self, race: bool) -> Self {
-        self.race = race;
-        self
-    }
-
     /// Number of entries added so far.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -1160,42 +1121,20 @@ impl<'s, 'a> Portfolio<'s, 'a> {
             entries,
             budget,
             selection,
-            race,
         } = self;
-        let token = CancelToken::new();
         let reports: Vec<(String, Result<SynthesisReport, SynthesisError>)> = entries
             .into_par_iter()
             .map(|(label, strategy)| {
-                let mut builder = Synthesis::builder(system)
+                let report = Synthesis::builder(system)
                     .analysis(analysis)
                     .budget(budget)
-                    .cancel(token.clone());
-                if race {
-                    builder = builder.observer(CancelOnSchedulable(token.clone()));
-                }
-                let report = builder.strategy(strategy).run();
-                if race && report.as_ref().is_ok_and(|r| r.best.is_schedulable()) {
-                    token.cancel();
-                }
+                    .strategy(strategy)
+                    .run();
                 (label, report)
             })
             .collect();
         let winner = select_winner(&reports, selection);
         PortfolioReport { winner, reports }
-    }
-}
-
-/// Race observer: cancels the shared token on the first schedulable
-/// incumbent.
-struct CancelOnSchedulable(CancelToken);
-
-impl Observer for CancelOnSchedulable {
-    fn on_event(&mut self, event: &SearchEvent) {
-        if let SearchEvent::NewIncumbent { summary, .. } = event {
-            if summary.is_schedulable() {
-                self.0.cancel();
-            }
-        }
     }
 }
 
@@ -1221,224 +1160,10 @@ fn select_winner(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batch experiment serving
-// ---------------------------------------------------------------------------
-
-/// One (instance × strategy) unit of batch work for [`ExperimentRunner`].
-pub struct ExperimentJob {
-    /// Instance label, e.g. `"nodes=4,seed=17"`.
-    pub instance: String,
-    /// Strategy label, e.g. `"OS"`. Defaults to [`Strategy::name`] but may
-    /// carry run-specific detail (`"SAS/iters=2000"`).
-    pub strategy_label: String,
-    system: Arc<System>,
-    analysis: AnalysisParams,
-    strategy: Box<dyn Strategy>,
-    budget: Budget,
-    deadline: Option<Duration>,
-}
-
-impl std::fmt::Debug for ExperimentJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExperimentJob").finish_non_exhaustive()
-    }
-}
-
-impl ExperimentJob {
-    /// Creates a job with the strategy's own name as its label.
-    pub fn new(
-        instance: impl Into<String>,
-        system: Arc<System>,
-        analysis: AnalysisParams,
-        strategy: impl Strategy + 'static,
-    ) -> Self {
-        ExperimentJob {
-            instance: instance.into(),
-            strategy_label: strategy.name().to_string(),
-            system,
-            analysis,
-            strategy: Box::new(strategy),
-            budget: Budget::UNLIMITED,
-            deadline: None,
-        }
-    }
-
-    /// Overrides the strategy label.
-    pub fn labelled(mut self, label: impl Into<String>) -> Self {
-        self.strategy_label = label.into();
-        self
-    }
-
-    /// Sets the job's evaluation budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Caps the job's wall-clock time: a run past `deadline` is wound down
-    /// cooperatively and its record reports the partial result (with
-    /// [`BudgetAxis::WallClock`] as the exhausted axis) instead of holding
-    /// the whole batch hostage.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    fn into_spec(self) -> crate::serve::JobSpec {
-        let mut spec =
-            crate::serve::JobSpec::new(self.instance, self.system, self.analysis, self.strategy)
-                .labelled(self.strategy_label)
-                .budget(self.budget);
-        if let Some(deadline) = self.deadline {
-            spec = spec.deadline(deadline);
-        }
-        spec
-    }
-}
-
-/// The outcome of one [`ExperimentJob`], with a stable machine-readable
-/// rendering.
-#[derive(Debug)]
-pub struct ExperimentRecord {
-    /// The job's instance label.
-    pub instance: String,
-    /// The job's strategy label.
-    pub strategy: String,
-    /// Wall-clock time of the run in microseconds.
-    pub elapsed_micros: u64,
-    /// The synthesis report (or why the run failed).
-    pub report: Result<SynthesisReport, SynthesisError>,
-}
-
-impl ExperimentRecord {
-    /// The report of a job that must not fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics with `context` if the job failed.
-    pub fn expect(&self, context: &str) -> &SynthesisReport {
-        match &self.report {
-            Ok(report) => report,
-            Err(e) => panic!("{context}: {e}"),
-        }
-    }
-
-    /// Renders the record as one stable JSON line (see
-    /// [`mcs_core::json_line`]): `instance`, `strategy`, `ok`,
-    /// `schedulable`, `schedule_cost`, `total_buffers`, `evaluations`,
-    /// `exhausted` (plus `exhausted_by` for truncated runs),
-    /// `elapsed_micros`. Failed runs carry `ok: false` and omit the result
-    /// fields.
-    pub fn json_line(&self) -> String {
-        use mcs_core::JsonField as F;
-        match &self.report {
-            Ok(r) => {
-                let mut fields = vec![
-                    ("instance", F::Str(&self.instance)),
-                    ("strategy", F::Str(&self.strategy)),
-                    ("ok", F::Bool(true)),
-                    ("schedulable", F::Bool(r.best.is_schedulable())),
-                    ("schedule_cost", F::Int(r.best.schedule_cost())),
-                    ("total_buffers", F::UInt(r.best.total_buffers)),
-                    ("evaluations", F::UInt(r.evaluations)),
-                    ("exhausted", F::Bool(r.exhausted)),
-                ];
-                if let Some(axis) = r.exhausted_by {
-                    fields.push(("exhausted_by", F::Str(axis.as_str())));
-                }
-                fields.push(("elapsed_micros", F::UInt(self.elapsed_micros)));
-                mcs_core::json_line(&fields)
-            }
-            Err(e) => mcs_core::json_line(&[
-                ("instance", F::Str(&self.instance)),
-                ("strategy", F::Str(&self.strategy)),
-                ("ok", F::Bool(false)),
-                ("error", F::Str(&e.to_string())),
-                ("elapsed_micros", F::UInt(self.elapsed_micros)),
-            ]),
-        }
-    }
-}
-
-/// Batch experiment serving: a queue of [`ExperimentJob`]s fanned out
-/// across a [`crate::serve::SynthesisService`] worker pool, records
-/// collected in submission order.
-///
-/// This is the layer the `fig9` sweep binaries sit on. Since it runs on
-/// the service, each job is **panic-isolated**: a job whose strategy
-/// panics produces a structured failed record
-/// ([`SynthesisError::Panicked`]) while every other job completes — one
-/// poisoned instance can no longer abort a whole sweep. Jobs may also
-/// carry wall-clock deadlines ([`ExperimentJob::deadline`]); a timed-out
-/// job reports its partial result with
-/// [`BudgetAxis::WallClock`] in [`SynthesisReport::exhausted_by`].
-#[derive(Debug, Default)]
-pub struct ExperimentRunner {
-    jobs: Vec<ExperimentJob>,
-}
-
-impl ExperimentRunner {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueues one job.
-    pub fn push(&mut self, job: ExperimentJob) -> &mut Self {
-        self.jobs.push(job);
-        self
-    }
-
-    /// Jobs enqueued so far.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// `true` when the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Runs every job (parallel, dynamically load-balanced across a
-    /// [`crate::serve::SynthesisService`] worker pool; `RAYON_NUM_THREADS`
-    /// caps the workers) and returns the records in submission order —
-    /// parallel output is byte-identical to a sequential run.
-    pub fn run(self) -> Vec<ExperimentRecord> {
-        use crate::serve::{ServiceConfig, SynthesisService};
-
-        if self.jobs.is_empty() {
-            return Vec::new();
-        }
-        let service = SynthesisService::start(ServiceConfig {
-            workers: ServiceConfig::default().workers.min(self.jobs.len()),
-            // The whole batch is known up front: size the queue to it so
-            // submission never blocks.
-            queue_capacity: self.jobs.len(),
-            ..ServiceConfig::default()
-        });
-        for job in self.jobs {
-            service
-                .try_submit(job.into_spec())
-                .expect("queue sized to the batch");
-        }
-        let mut records = service.shutdown();
-        records.sort_by_key(|record| record.id);
-        records
-            .into_iter()
-            .map(|record| ExperimentRecord {
-                instance: record.name,
-                strategy: record.strategy,
-                elapsed_micros: record.elapsed_micros,
-                report: record.outcome.into_report(),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{run_batch, JobSpec};
     use crate::{Os, OsParams, Sa, SaParams, Sf};
     use mcs_gen::{figure4, generate, GeneratorParams};
     use mcs_model::Time;
@@ -1544,22 +1269,21 @@ mod tests {
     fn experiment_runner_preserves_submission_order() {
         let fig = figure4(Time::from_millis(240));
         let system = Arc::new(fig.system);
-        let mut runner = ExperimentRunner::new();
-        for seed in 0..4 {
-            runner.push(
-                ExperimentJob::new(
+        let jobs = (0..4)
+            .map(|seed| {
+                JobSpec::new(
                     format!("fig4#{seed}"),
                     Arc::clone(&system),
                     AnalysisParams::default(),
                     quick_sa(seed),
                 )
-                .labelled(format!("SAS#{seed}")),
-            );
-        }
-        let records = runner.run();
+                .labelled(format!("SAS#{seed}"))
+            })
+            .collect();
+        let records = run_batch(jobs);
         assert_eq!(records.len(), 4);
         for (seed, record) in records.iter().enumerate() {
-            assert_eq!(record.instance, format!("fig4#{seed}"));
+            assert_eq!(record.name, format!("fig4#{seed}"));
             assert_eq!(record.strategy, format!("SAS#{seed}"));
             let line = record.json_line();
             assert!(line.starts_with('{') && line.ends_with('}'));

@@ -1,11 +1,9 @@
-//! Equivalence suite for the batched candidate-evaluation path: a batch of
-//! candidates run through [`Evaluator::evaluate_batch`] must be
-//! **bit-identical** to sequential `evaluate_delta` calls from the same base
-//! state — which are themselves bit-identical to full `evaluate` calls (the
-//! contract the `delta_rta_equivalence` suite pins). On top of the core
-//! contract, the suite pins the one consumer whose batched mode is opt-in:
-//! `Sa::batch(width)` must reproduce the *entire* seeded event stream of the
-//! sequential annealer, draw for draw, for every width.
+//! Equivalence suite for the batched candidate-evaluation path that OS and
+//! OR scan their neighborhoods with: a batch of candidates run through
+//! [`Evaluator::evaluate_batch`] must be **bit-identical** to sequential
+//! `evaluate_delta` calls from the same base state — which are themselves
+//! bit-identical to full `evaluate` calls (the contract the
+//! `delta_rta_equivalence` suite pins).
 //!
 //! Covered here:
 //! * batch results vs a sequential delta trajectory and vs fresh full
@@ -13,24 +11,16 @@
 //!   priority swaps, φ pin/unpin);
 //! * degenerate batches — width 1, duplicate candidates, infeasible
 //!   members (slot capacity forced under the minimum) — and multi-rate
-//!   instances;
-//! * [`Evaluator::adopt_lane`]: the adopted primary state carries the exact
-//!   timings a sequential evaluation would have left, and serves as a valid
-//!   delta base afterwards;
-//! * `Sa::batch(w)`: identical `SearchEvent` vectors, evaluation counts and
-//!   final incumbents for several widths and seeds.
+//!   instances.
 
 use proptest::prelude::*;
 
 use mcs_core::{
     AnalysisError, AnalysisParams, BatchRequest, BatchScratch, DeltaSeeds, EvalSummary, Evaluator,
-    SchedulabilityDegree,
 };
 use mcs_gen::{generate, GeneratorParams};
 use mcs_model::{System, SystemConfig, TdmaConfig};
-use mcs_opt::{
-    evaluate, neighborhood, sa_start, Move, Observer, Sa, SaParams, SearchEvent, Synthesis,
-};
+use mcs_opt::{evaluate, neighborhood, sa_start, Move};
 
 fn small_system(seed: u64) -> System {
     let mut p = GeneratorParams::paper_sized(2, seed);
@@ -160,48 +150,6 @@ proptest! {
         }
     }
 
-    /// Adopting a lane leaves the primary exactly where a sequential
-    /// evaluation of that candidate would have: same analyzed timings, and
-    /// a valid delta base for the next move.
-    #[test]
-    fn adopt_lane_matches_the_sequential_state(seed in 0u64..100) {
-        let system = small_system(seed);
-        let analysis = AnalysisParams::default();
-        let base = sa_start(&system);
-        let moves = sampled_moves(&system, &base, &analysis);
-        prop_assume!(!moves.is_empty());
-        let requests = requests_for(&base, &moves);
-
-        let mut batched = Evaluator::new(&system, analysis);
-        batched.evaluate(&base).expect("base analyzable");
-        let mut scratch = BatchScratch::new();
-        let results = batched.evaluate_batch(&mut scratch, &requests);
-        let Some(adopted) = results.iter().position(|r| r.is_ok()) else {
-            return Ok(());
-        };
-        batched.adopt_lane(&mut scratch, adopted);
-
-        let mut sequential = Evaluator::new(&system, analysis);
-        sequential
-            .evaluate(&requests[adopted].config)
-            .expect("adopted lane result was Ok");
-
-        // Bit-identical analyzed timings (response times, offsets, jitter).
-        let batched_outcome = batched.outcome();
-        let sequential_outcome = sequential.outcome();
-        prop_assert_eq!(&batched_outcome.process_timing, &sequential_outcome.process_timing);
-        prop_assert_eq!(&batched_outcome.message_timing, &sequential_outcome.message_timing);
-
-        // And an equivalent delta base: evaluating back to `base`, seeded
-        // with the adopted move's entities, agrees bit for bit.
-        let mut seeds = DeltaSeeds::new();
-        seeds.merge(&requests[adopted].seeds);
-        prop_assert_eq!(
-            batched.evaluate_delta(&base, &seeds),
-            sequential.evaluate_delta(&base, &seeds)
-        );
-    }
-
     /// Degenerate batches: width 1, duplicate members and infeasible
     /// members (a slot capacity forced below the minimum) all match the
     /// sequential results.
@@ -266,107 +214,5 @@ proptest! {
         let mut scratch = BatchScratch::new();
         let results = batched.evaluate_batch(&mut scratch, &requests);
         prop_assert_eq!(&results, &expected);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sa::batch(width): the seeded event stream is unchanged
-// ---------------------------------------------------------------------------
-
-/// Records the full event stream, in emission order.
-#[derive(Default)]
-struct Recorder(Vec<SearchEvent>);
-
-impl Observer for Recorder {
-    fn on_event(&mut self, event: &SearchEvent) {
-        self.0.push(*event);
-    }
-}
-
-/// Runs SAS (or SAR) with the given batch width and records everything.
-fn sa_stream(
-    system: &System,
-    params: SaParams,
-    resources: bool,
-    width: usize,
-) -> (
-    Vec<SearchEvent>,
-    u64,
-    SystemConfig,
-    (SchedulabilityDegree, u64),
-) {
-    let strategy = if resources {
-        Sa::resources(params)
-    } else {
-        Sa::schedule(params)
-    };
-    let mut events = Recorder::default();
-    let report = Synthesis::builder(system)
-        .analysis(AnalysisParams::default())
-        .strategy(strategy.batch(width))
-        .observer(&mut events)
-        .run()
-        .expect("the SA start configuration is analyzable");
-    let costs = (report.best.degree, report.best.total_buffers);
-    (events.0, report.evaluations, report.best.config, costs)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// `Sa::batch(w)` reproduces the sequential annealer's seeded event
-    /// stream — every epoch, evaluation, accept/reject flag and incumbent,
-    /// in order — plus the final report, for widths across and beyond the
-    /// speculation sweet spot.
-    #[test]
-    fn sa_batch_reproduces_the_sequential_event_stream(
-        seed in 0u64..40,
-        sa_seed in 0u64..8,
-        width in 2usize..9,
-        objective in 0u64..2,
-    ) {
-        let resources = objective == 1;
-        let system = small_system(seed);
-        let params = SaParams {
-            iterations: 60,
-            seed: sa_seed,
-            ..SaParams::default()
-        };
-        let (events, evaluations, config, summary) = sa_stream(&system, params, resources, 1);
-        let (b_events, b_evaluations, b_config, b_summary) =
-            sa_stream(&system, params, resources, width);
-        prop_assert_eq!(evaluations, b_evaluations, "budget accounting diverged");
-        prop_assert_eq!(config, b_config, "incumbent configurations diverged");
-        prop_assert_eq!(summary, b_summary, "incumbent summaries diverged");
-        prop_assert_eq!(events, b_events, "event streams diverged");
-    }
-}
-
-/// A width of 0 or 1 is exactly the sequential proposal loop (no
-/// speculation machinery engaged), and widths far beyond the iteration
-/// count stay equivalent — the window is clamped to the remaining budget.
-#[test]
-fn sa_batch_extreme_widths_match() {
-    let system = small_system(7);
-    let params = SaParams {
-        iterations: 40,
-        seed: 3,
-        ..SaParams::default()
-    };
-    let reference = sa_stream(&system, params, false, 1);
-    for width in [0, 1, 64, 1024] {
-        let candidate = sa_stream(&system, params, false, width);
-        assert_eq!(
-            reference.0, candidate.0,
-            "width {width}: event streams diverged"
-        );
-        assert_eq!(
-            reference.1, candidate.1,
-            "width {width}: evaluation counts diverged"
-        );
-        assert_eq!(
-            reference.2, candidate.2,
-            "width {width}: incumbents diverged"
-        );
     }
 }

@@ -534,45 +534,35 @@ fn submissions_after_shutdown_are_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// The batch runner still rides on the service
+// Static batches ride on the service
 // ---------------------------------------------------------------------------
 
 #[test]
 fn experiment_runner_reports_structured_failures_instead_of_aborting() {
-    use mcs_opt::{ExperimentJob, ExperimentRunner};
     let system = Arc::new(small_system(7));
     let analysis = AnalysisParams::default();
-    let mut runner = ExperimentRunner::new();
-    runner.push(ExperimentJob::new(
-        "ok".to_string(),
-        Arc::clone(&system),
-        analysis,
-        Sf,
-    ));
-    runner.push(ExperimentJob::new(
-        "boom".to_string(),
-        Arc::clone(&system),
-        analysis,
-        Panicking,
-    ));
-    runner.push(ExperimentJob::new(
-        "sas".to_string(),
-        Arc::clone(&system),
-        analysis,
-        Sa::schedule(SaParams {
-            iterations: 20,
-            seed: 0,
-            ..SaParams::default()
-        }),
-    ));
-    let records = runner.run();
+    let jobs = vec![
+        JobSpec::new("ok".to_string(), Arc::clone(&system), analysis, Sf),
+        JobSpec::new("boom".to_string(), Arc::clone(&system), analysis, Panicking),
+        JobSpec::new(
+            "sas".to_string(),
+            Arc::clone(&system),
+            analysis,
+            Sa::schedule(SaParams {
+                iterations: 20,
+                seed: 0,
+                ..SaParams::default()
+            }),
+        ),
+    ];
+    let records = mcs_opt::run_batch(jobs);
     assert_eq!(records.len(), 3);
-    assert_eq!(records[0].instance, "ok");
-    assert!(records[0].report.is_ok());
-    assert_eq!(records[1].instance, "boom");
+    assert_eq!(records[0].name, "ok");
+    assert!(matches!(records[0].outcome, JobOutcome::Completed(_)));
+    assert_eq!(records[1].name, "boom");
     assert!(
-        matches!(records[1].report, Err(SynthesisError::Panicked(_))),
+        matches!(records[1].outcome, JobOutcome::Panicked { .. }),
         "the poisoned job fails structurally without sinking the batch"
     );
-    assert!(records[2].report.is_ok());
+    assert!(matches!(records[2].outcome, JobOutcome::Completed(_)));
 }

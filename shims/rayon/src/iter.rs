@@ -28,18 +28,6 @@ pub trait IntoParallelRefMutIterator<'a> {
     fn par_iter_mut(&'a mut self) -> ParIter<Self::Item>;
 }
 
-/// Parallel operations over mutable slices (rayon's `ParallelSliceMut`
-/// subset): disjoint chunks processed across workers.
-pub trait ParallelSliceMut<T: Send> {
-    /// Parallel iterator over non-overlapping mutable chunks of
-    /// `chunk_size` elements (the last chunk may be shorter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]>;
-}
-
 impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
     fn into_par_iter(self) -> ParIter<T> {
@@ -92,15 +80,6 @@ impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
     fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
         ParIter {
             items: self.iter_mut().collect(),
-        }
-    }
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]> {
-        assert!(chunk_size != 0, "chunk size must be non-zero");
-        ParIter {
-            items: self.chunks_mut(chunk_size).collect(),
         }
     }
 }

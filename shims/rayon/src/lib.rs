@@ -17,8 +17,7 @@ use std::sync::Mutex;
 pub mod prelude {
     //! The usual rayon imports.
     pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-        ParallelIterator, ParallelSliceMut,
+        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelIterator,
     };
 }
 
@@ -147,23 +146,5 @@ mod tests {
             .collect();
         assert_eq!(seen, (1..=64).collect::<Vec<_>>());
         assert_eq!(items, (1..=64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_chunks_mut_covers_every_disjoint_chunk() {
-        let mut items = vec![1u64; 10];
-        items.par_chunks_mut(3).enumerate().for_each(|(ci, chunk)| {
-            for x in chunk.iter_mut() {
-                *x = ci as u64;
-            }
-        });
-        assert_eq!(items, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be non-zero")]
-    fn par_chunks_mut_rejects_zero() {
-        let mut items = [1u8; 4];
-        items.par_chunks_mut(0).for_each(|_| {});
     }
 }

@@ -23,11 +23,12 @@
 //!
 //! [`synth`] is the synthesis front door: a [`Strategy`](synth::Strategy)-
 //! driven [`Synthesis`](synth::Synthesis) driver plus
-//! [`Portfolio`](synth::Portfolio) racing and batch
-//! [`ExperimentRunner`](synth::ExperimentRunner) serving. [`serve`] is the
-//! resilient streaming service on top — bounded submission queue, per-job
-//! deadlines and priorities with preemption, panic isolation with retry,
-//! and resumable jobs ([`SynthesisService`](serve::SynthesisService)). The
+//! [`Portfolio`](synth::Portfolio) runs with deterministic winner selection.
+//! [`serve`] is the resilient streaming service on top — bounded submission
+//! queue, per-job deadlines and priorities with preemption, panic isolation
+//! with retry, and resumable jobs
+//! ([`SynthesisService`](serve::SynthesisService)) — and serves static
+//! batches of jobs through [`run_batch`](serve::run_batch). The
 //! [`prelude`] pulls in the handful of types almost every program needs.
 //!
 //! # Examples
@@ -94,9 +95,8 @@ pub mod prelude {
         System, SystemConfig, TdmaConfig, TdmaSlot, Time,
     };
     pub use mcs_opt::{
-        Budget, BudgetAxis, Evaluation, ExperimentJob, ExperimentRecord, ExperimentRunner, Hopa,
-        JobOutcome, JobRecord, JobSpec, Objective, Observer, Or, OrParams, Os, OsParams, Portfolio,
-        Sa, SaParams, SearchEvent, Selection, ServiceConfig, Sf, Strategy, Synthesis,
-        SynthesisReport, SynthesisService,
+        run_batch, Budget, BudgetAxis, Evaluation, Hopa, JobOutcome, JobRecord, JobSpec, Objective,
+        Observer, Or, OrParams, Os, OsParams, Portfolio, Sa, SaParams, SearchEvent, Selection,
+        ServiceConfig, Sf, Strategy, Synthesis, SynthesisReport, SynthesisService,
     };
 }
