@@ -5,7 +5,9 @@
 //! simulation (see [`mcs_bench::campaign`]), writing one JSON line per cell
 //! to `BENCH_campaign.jsonl` and a one-line summary object to
 //! `BENCH_campaign.json`, both in the root of the workspace it is run from
-//! ([`mcs_bench::output_path`]). The run fails (exit 1, offending lines
+//! ([`mcs_bench::output_path`]). `--jsonl PATH` moves both: the records go
+//! to `PATH`, the summary next to it with the same stem and a `.json`
+//! extension. The run fails (exit 1, offending lines
 //! printed) on any **hard** finding: a nominal soundness violation or a CAN
 //! frame-conservation breach. Fault-induced degradation is counted, not
 //! fatal.
@@ -26,8 +28,9 @@
 //! | `--os-one-in N` | 1-in-N cells use OS synthesis; 0 disables (default 4) |
 //! | `--cell K` | replay exactly cell K, print its line, write nothing |
 //! | `--smoke` | the CI profile: 256 cells, fixed seed, bounded deadline |
-//! | `--jsonl PATH` | per-cell record path override |
+//! | `--jsonl PATH` | per-cell record path; the summary goes to `PATH` with a `.json` extension (so `PATH` must not end in `.json`) |
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -82,6 +85,14 @@ fn parse_args() -> Args {
     args
 }
 
+/// The summary file of a campaign whose per-cell records go to `jsonl`:
+/// the same path with a `.json` extension, or `None` when that is `jsonl`
+/// itself.
+fn summary_path(jsonl: &Path) -> Option<PathBuf> {
+    let summary = jsonl.with_extension("json");
+    (summary != jsonl).then_some(summary)
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
 
@@ -97,12 +108,21 @@ fn main() -> ExitCode {
         };
     }
 
-    let (records, summary) = run_campaign(&args.spec);
-
     let jsonl_path = args
         .jsonl
-        .map(std::path::PathBuf::from)
+        .map(PathBuf::from)
         .unwrap_or_else(|| output_path("BENCH_campaign.jsonl"));
+    let Some(summary_path) = summary_path(&jsonl_path) else {
+        eprintln!(
+            "--jsonl {}: the summary would overwrite the records; \
+             pass a path that does not end in .json",
+            jsonl_path.display()
+        );
+        return ExitCode::FAILURE;
+    };
+
+    let (records, summary) = run_campaign(&args.spec);
+
     match std::fs::File::create(&jsonl_path) {
         Ok(file) => {
             let mut writer = mcs_core::JsonLinesWriter::new(std::io::BufWriter::new(file));
@@ -125,7 +145,6 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("could not create {}: {e}", jsonl_path.display()),
     }
 
-    let summary_path = output_path("BENCH_campaign.json");
     match std::fs::write(&summary_path, format!("{}\n", summary.json())) {
         Ok(_) => println!("recorded campaign summary in {}", summary_path.display()),
         Err(e) => eprintln!("could not write {}: {e}", summary_path.display()),
@@ -154,5 +173,27 @@ fn main() -> ExitCode {
             args.spec.seed, args.spec.activations, args.spec.os_one_in
         );
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_sits_next_to_the_records() {
+        assert_eq!(
+            summary_path(Path::new("/ws/BENCH_campaign.jsonl")),
+            Some(PathBuf::from("/ws/BENCH_campaign.json"))
+        );
+        assert_eq!(
+            summary_path(Path::new("runs/x.cells.jsonl")),
+            Some(PathBuf::from("runs/x.cells.json"))
+        );
+        assert_eq!(
+            summary_path(Path::new("runs/cells")),
+            Some(PathBuf::from("runs/cells.json"))
+        );
+        assert_eq!(summary_path(Path::new("runs/cells.json")), None);
     }
 }

@@ -7,6 +7,11 @@
 //! the reused evaluator against this baseline; the equivalence of their
 //! results is asserted by a test below and by the property tests in
 //! `mcs-opt`.
+//!
+//! The TTC list scheduler is frozen here too ([`seed_list_schedule`]), so
+//! this oracle stays independent of the live `mcs_ttp` scheduler it is
+//! used to check; `tests/scheduler_vs_seed.rs` holds the two to identical
+//! schedules.
 
 #![allow(missing_docs)] // verbatim seed code, kept only as a benchmark baseline
 
@@ -20,7 +25,10 @@ use mcs_core::{
     TtpQueueParams,
 };
 use mcs_model::{MessageId, MessageRoute, NodeId, Priority, ProcessId, System, SystemConfig, Time};
-use mcs_ttp::{list_schedule, SchedulerInput, TtcSchedule};
+use mcs_ttp::{
+    critical_path_priorities_into, DenseSchedulerInput, FramePlacement, RoundSchedule,
+    ScheduleError, SchedulerInput, TtcSchedule,
+};
 
 /// The seed's `mcs_opt::evaluate`: one fresh analysis plus the cost scalars.
 ///
@@ -78,7 +86,7 @@ pub fn seed_multi_cluster_scheduling(
             process_releases: &process_releases,
             message_releases: &message_releases,
         };
-        let schedule = list_schedule(&input)?;
+        let schedule = seed_list_schedule(&input)?;
         let holistic = Holistic::new(
             system,
             config,
@@ -178,6 +186,274 @@ fn seed_pins(
     for m in system.application.messages() {
         if let Some(t) = config.offsets.message(m.id()) {
             message_releases.insert(m.id(), t);
+        }
+    }
+}
+
+/// The seed's `mcs_ttp::list_schedule`: flattens the release maps and runs
+/// the frozen [`seed_list_schedule_dense_into`].
+///
+/// # Errors
+///
+/// Returns [`ScheduleError`] if the TDMA configuration cannot carry the
+/// traffic (missing slot, oversized message, empty round).
+pub fn seed_list_schedule(input: &SchedulerInput<'_>) -> Result<TtcSchedule, ScheduleError> {
+    let mut priorities = Vec::new();
+    critical_path_priorities_into(input.system, input.tdma, &mut priorities);
+    let app = &input.system.application;
+    let mut process_releases = vec![None; app.processes().len()];
+    for (&p, &t) in input.process_releases {
+        process_releases[p.index()] = Some(t);
+    }
+    let mut message_releases = vec![None; app.messages().len()];
+    for (&m, &t) in input.message_releases {
+        message_releases[m.index()] = Some(t);
+    }
+    let mut schedule = TtcSchedule::new();
+    seed_list_schedule_dense_into(
+        &DenseSchedulerInput {
+            system: input.system,
+            tdma: input.tdma,
+            process_releases: &process_releases,
+            message_releases: &message_releases,
+        },
+        &priorities,
+        &mut schedule,
+    )?;
+    Ok(schedule)
+}
+
+/// The seed's `mcs_ttp::list_schedule_dense_into`: every pick rescans all
+/// unscheduled TT processes and recomputes their earliest starts.
+///
+/// # Errors
+///
+/// Returns [`ScheduleError`] if the TDMA configuration cannot carry the
+/// traffic (missing slot, oversized message, empty round).
+pub fn seed_list_schedule_dense_into(
+    input: &DenseSchedulerInput<'_>,
+    priorities: &[Time],
+    schedule: &mut TtcSchedule,
+) -> Result<(), ScheduleError> {
+    schedule.clear();
+    SeedScheduler::new(input, priorities, schedule)?.run()
+}
+
+struct SeedScheduler<'a> {
+    input: &'a DenseSchedulerInput<'a>,
+    rounds: RoundSchedule<'a>,
+    /// Critical-path priority per process (dense index).
+    priorities: &'a [Time],
+    /// Bytes already packed into each (slot, round) occurrence.
+    frame_usage: HashMap<(u32, u64), u32>,
+    schedule: &'a mut TtcSchedule,
+    /// Earliest idle instant per node (dense index).
+    node_free: Vec<Time>,
+}
+
+impl<'a> SeedScheduler<'a> {
+    fn new(
+        input: &'a DenseSchedulerInput<'a>,
+        priorities: &'a [Time],
+        schedule: &'a mut TtcSchedule,
+    ) -> Result<Self, ScheduleError> {
+        if input.tdma.slots().is_empty() {
+            return Err(ScheduleError::EmptyRound);
+        }
+        let rounds = RoundSchedule::new(input.tdma, input.system.architecture.ttp_params());
+        let node_free = vec![Time::ZERO; input.system.architecture.nodes().len()];
+        Ok(SeedScheduler {
+            input,
+            rounds,
+            priorities,
+            frame_usage: HashMap::new(),
+            schedule,
+            node_free,
+        })
+    }
+
+    fn proc_release(&self, p: ProcessId) -> Time {
+        self.input
+            .process_releases
+            .get(p.index())
+            .copied()
+            .flatten()
+            .unwrap_or(Time::ZERO)
+    }
+
+    fn msg_release(&self, m: MessageId) -> Time {
+        self.input
+            .message_releases
+            .get(m.index())
+            .copied()
+            .flatten()
+            .unwrap_or(Time::ZERO)
+    }
+
+    fn run(mut self) -> Result<(), ScheduleError> {
+        let system = self.input.system;
+        let app = &system.application;
+
+        // Frames sent by ET CPUs over the TTP bus (gateway-resident senders
+        // of TTC→TTC traffic) are placed first from their releases so that
+        // destination readiness can observe the arrival.
+        for message in app.messages() {
+            let sender_node = app.process(message.source()).node();
+            if system.route(message.id()).uses_ttp()
+                && system.route(message.id()) != MessageRoute::EtcToTtc
+                && system.architecture.is_et_cpu(sender_node)
+            {
+                let release = self.msg_release(message.id());
+                self.place_frame(message.id(), sender_node, release)?;
+            }
+        }
+
+        // TT processes still waiting for their TT-side predecessors.
+        let mut remaining: Vec<usize> = vec![0; app.processes().len()];
+        let mut unscheduled: Vec<ProcessId> = Vec::new();
+        for p in app.processes() {
+            if system.architecture.is_tt_cpu(p.node()) {
+                remaining[p.id().index()] = app
+                    .predecessors(p.id())
+                    .iter()
+                    .filter(|e| self.counts_as_tt_pred(e.source))
+                    .count();
+                unscheduled.push(p.id()); // id order: determinism
+            }
+        }
+
+        while !unscheduled.is_empty() {
+            // Candidates: all TT-side dependencies resolved.
+            let mut best: Option<(Time, Time, ProcessId)> = None;
+            for &p in &unscheduled {
+                if remaining[p.index()] > 0 {
+                    continue;
+                }
+                let est = self.earliest_start(p);
+                let prio = self.priorities[p.index()];
+                let better = match best {
+                    None => true,
+                    // Earliest start first; critical path length breaks ties.
+                    Some((bt, bp, bid)) => {
+                        (est, std::cmp::Reverse(prio), p) < (bt, std::cmp::Reverse(bp), bid)
+                    }
+                };
+                if better {
+                    best = Some((est, prio, p));
+                }
+            }
+            let (start, _, p) =
+                best.expect("acyclic validated graph always has a ready TT process");
+            self.commit(p, start)?;
+            unscheduled.retain(|&q| q != p);
+            for e in app.successors(p) {
+                let r = &mut remaining[e.dest.index()];
+                *r = r.saturating_sub(1);
+            }
+        }
+        Ok(())
+    }
+
+    /// A predecessor gates a TT process through the schedule table only if
+    /// the predecessor itself is placed by this scheduler.
+    fn counts_as_tt_pred(&self, pred: ProcessId) -> bool {
+        let node = self.input.system.application.process(pred).node();
+        self.input.system.architecture.is_tt_cpu(node)
+    }
+
+    fn earliest_start(&self, p: ProcessId) -> Time {
+        let system = self.input.system;
+        let app = &system.application;
+        let node = app.process(p).node();
+        let mut ready = self.proc_release(p);
+        for e in app.predecessors(p) {
+            if !self.counts_as_tt_pred(e.source) {
+                // ET-sent TTP frames (gateway-resident senders) are placed
+                // in the pre-pass: their arrival gates the table start
+                // directly. Everything else is bounded by the exogenous
+                // release.
+                if let Some(frame) = e.message.and_then(|m| self.schedule.frame(m)) {
+                    ready = ready.max(frame.arrival);
+                }
+                continue;
+            }
+            let pred_finish = self
+                .schedule
+                .start(e.source)
+                .expect("TT predecessor scheduled before successor")
+                + app.process(e.source).wcet();
+            let avail = match e.message {
+                // Cross-node: data available when the frame lands.
+                Some(m) => self
+                    .schedule
+                    .frame(m)
+                    .map(|f| f.arrival)
+                    .unwrap_or(pred_finish),
+                // Same node: available at predecessor completion.
+                None => pred_finish,
+            };
+            ready = ready.max(avail);
+        }
+        ready.max(self.node_free[node.index()])
+    }
+
+    fn commit(&mut self, p: ProcessId, start: Time) -> Result<(), ScheduleError> {
+        let system = self.input.system;
+        let app = &system.application;
+        let process = app.process(p);
+        let finish = start + process.wcet();
+        self.schedule.set_start(p, start);
+        self.schedule.extend_makespan(finish);
+        self.node_free[process.node().index()] = finish;
+
+        // Place the TTP leg of every outbound message of this TT sender.
+        let outgoing: Vec<MessageId> = app.successors(p).iter().filter_map(|e| e.message).collect();
+        for m in outgoing {
+            if !system.route(m).uses_ttp() || system.route(m) == MessageRoute::EtcToTtc {
+                continue; // CAN-only, or FIFO-forwarded by the gateway
+            }
+            let ready = finish.max(self.msg_release(m));
+            self.place_frame(m, process.node(), ready)?;
+        }
+        Ok(())
+    }
+
+    /// Packs a message into the earliest occurrence of its sender's slot
+    /// starting at or after `ready` with spare capacity.
+    fn place_frame(
+        &mut self,
+        message: MessageId,
+        sender_node: NodeId,
+        ready: Time,
+    ) -> Result<(), ScheduleError> {
+        let app = &self.input.system.application;
+        let size = app.message(message).size_bytes();
+        let slot = self
+            .rounds
+            .slot_of_node(sender_node)
+            .ok_or(ScheduleError::NoSlotForNode(sender_node))?;
+        let capacity = self.rounds.slot_capacity(slot);
+        if size > capacity {
+            return Err(ScheduleError::MessageTooLarge { message, capacity });
+        }
+        let mut occ = self.rounds.next_occurrence(slot, ready);
+        loop {
+            let used = self.frame_usage.entry((slot.raw(), occ.round)).or_insert(0);
+            if *used + size <= capacity {
+                *used += size;
+                self.schedule.set_frame(
+                    message,
+                    FramePlacement {
+                        slot,
+                        round: occ.round,
+                        slot_start: occ.start,
+                        arrival: occ.end,
+                    },
+                );
+                self.schedule.extend_makespan(occ.end);
+                return Ok(());
+            }
+            occ = self.rounds.advance(occ, 1);
         }
     }
 }

@@ -198,10 +198,15 @@ impl TdmaConfig {
 ///
 /// Priorities must be unique per scheduling resource: among processes sharing
 /// an ET CPU, and among all frames on the CAN bus.
+///
+/// Stored densely by id (ids are dense model indices), so lookups, equality
+/// and snapshots hash nothing. Entries are only ever set, never removed, so
+/// a table ends at its highest assigned id: two assignments with the same
+/// entries have equal tables whatever order the entries were set in.
 #[derive(Debug, PartialEq, Eq, Default)]
 pub struct PriorityAssignment {
-    processes: HashMap<ProcessId, Priority>,
-    messages: HashMap<MessageId, Priority>,
+    processes: Vec<Option<Priority>>,
+    messages: Vec<Option<Priority>>,
 }
 
 impl Clone for PriorityAssignment {
@@ -218,6 +223,14 @@ impl Clone for PriorityAssignment {
     }
 }
 
+/// Sets `table[index]`, growing the table as needed.
+fn set_dense<T: Copy>(table: &mut Vec<Option<T>>, index: usize, value: T) {
+    if index >= table.len() {
+        table.resize(index + 1, None);
+    }
+    table[index] = Some(value);
+}
+
 impl PriorityAssignment {
     /// Creates an empty assignment.
     pub fn new() -> Self {
@@ -226,24 +239,24 @@ impl PriorityAssignment {
 
     /// Sets the priority of a process.
     pub fn set_process(&mut self, process: ProcessId, priority: Priority) -> &mut Self {
-        self.processes.insert(process, priority);
+        set_dense(&mut self.processes, process.index(), priority);
         self
     }
 
     /// Sets the priority of a message.
     pub fn set_message(&mut self, message: MessageId, priority: Priority) -> &mut Self {
-        self.messages.insert(message, priority);
+        set_dense(&mut self.messages, message.index(), priority);
         self
     }
 
     /// The priority of a process, if assigned.
     pub fn process(&self, process: ProcessId) -> Option<Priority> {
-        self.processes.get(&process).copied()
+        self.processes.get(process.index()).copied().flatten()
     }
 
     /// The priority of a message, if assigned.
     pub fn message(&self, message: MessageId) -> Option<Priority> {
-        self.messages.get(&message).copied()
+        self.messages.get(message.index()).copied().flatten()
     }
 
     /// Swaps the priorities of two processes (an optimizer move).
@@ -251,28 +264,26 @@ impl PriorityAssignment {
     /// Missing entries are treated as an error in validation, not here; the
     /// swap is a no-op when either side is unassigned.
     pub fn swap_processes(&mut self, a: ProcessId, b: ProcessId) {
-        if let (Some(pa), Some(pb)) = (self.process(a), self.process(b)) {
-            self.processes.insert(a, pb);
-            self.processes.insert(b, pa);
+        if self.process(a).is_some() && self.process(b).is_some() {
+            self.processes.swap(a.index(), b.index());
         }
     }
 
     /// Swaps the priorities of two messages (an optimizer move).
     pub fn swap_messages(&mut self, a: MessageId, b: MessageId) {
-        if let (Some(pa), Some(pb)) = (self.message(a), self.message(b)) {
-            self.messages.insert(a, pb);
-            self.messages.insert(b, pa);
+        if self.message(a).is_some() && self.message(b).is_some() {
+            self.messages.swap(a.index(), b.index());
         }
     }
 
     /// Number of assigned process priorities.
     pub fn process_count(&self) -> usize {
-        self.processes.len()
+        self.processes.iter().flatten().count()
     }
 
     /// Number of assigned message priorities.
     pub fn message_count(&self) -> usize {
-        self.messages.len()
+        self.messages.iter().flatten().count()
     }
 }
 
@@ -282,10 +293,13 @@ impl PriorityAssignment {
 /// The static scheduler treats a pinned entity as "not ready before the pin",
 /// which realizes the paper's *move a process/message inside its
 /// [ASAP, ALAP] interval* design transformation.
+///
+/// Pins are few, so they are kept sparse: one list per entity kind, sorted
+/// by id, which makes equality order-independent and hash-free.
 #[derive(Debug, PartialEq, Eq, Default)]
 pub struct OffsetConstraints {
-    processes: HashMap<ProcessId, Time>,
-    messages: HashMap<MessageId, Time>,
+    processes: Vec<(ProcessId, Time)>,
+    messages: Vec<(MessageId, Time)>,
 }
 
 impl Clone for OffsetConstraints {
@@ -302,6 +316,28 @@ impl Clone for OffsetConstraints {
     }
 }
 
+/// Inserts or replaces the pin of `id` in an id-sorted pin list.
+fn pin<I: Ord + Copy>(pins: &mut Vec<(I, Time)>, id: I, at: Time) {
+    match pins.binary_search_by_key(&id, |&(i, _)| i) {
+        Ok(k) => pins[k].1 = at,
+        Err(k) => pins.insert(k, (id, at)),
+    }
+}
+
+/// Removes the pin of `id` from an id-sorted pin list, if present.
+fn unpin<I: Ord + Copy>(pins: &mut Vec<(I, Time)>, id: I) {
+    if let Ok(k) = pins.binary_search_by_key(&id, |&(i, _)| i) {
+        pins.remove(k);
+    }
+}
+
+/// The pin of `id` in an id-sorted pin list.
+fn pinned<I: Ord + Copy>(pins: &[(I, Time)], id: I) -> Option<Time> {
+    pins.binary_search_by_key(&id, |&(i, _)| i)
+        .ok()
+        .map(|k| pins[k].1)
+}
+
 impl OffsetConstraints {
     /// Creates an empty (unconstrained) set.
     pub fn new() -> Self {
@@ -310,36 +346,36 @@ impl OffsetConstraints {
 
     /// Pins the earliest start of a TT process.
     pub fn pin_process(&mut self, process: ProcessId, not_before: Time) -> &mut Self {
-        self.processes.insert(process, not_before);
+        pin(&mut self.processes, process, not_before);
         self
     }
 
     /// Pins the earliest transmission of a TTC message.
     pub fn pin_message(&mut self, message: MessageId, not_before: Time) -> &mut Self {
-        self.messages.insert(message, not_before);
+        pin(&mut self.messages, message, not_before);
         self
     }
 
     /// Removes the pin on a process.
     pub fn unpin_process(&mut self, process: ProcessId) -> &mut Self {
-        self.processes.remove(&process);
+        unpin(&mut self.processes, process);
         self
     }
 
     /// Removes the pin on a message.
     pub fn unpin_message(&mut self, message: MessageId) -> &mut Self {
-        self.messages.remove(&message);
+        unpin(&mut self.messages, message);
         self
     }
 
     /// The pin on a process, if any.
     pub fn process(&self, process: ProcessId) -> Option<Time> {
-        self.processes.get(&process).copied()
+        pinned(&self.processes, process)
     }
 
     /// The pin on a message, if any.
     pub fn message(&self, message: MessageId) -> Option<Time> {
-        self.messages.get(&message).copied()
+        pinned(&self.messages, message)
     }
 
     /// Returns `true` if no entity is pinned.

@@ -1,10 +1,12 @@
 //! Property-based tests for the model's core data structures.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use mcs_model::{
-    lcm, Application, Architecture, NodeId, NodeRole, SlotId, TdmaConfig, TdmaSlot, Time,
-    TtpBusParams,
+    lcm, Application, Architecture, MessageId, NodeId, NodeRole, OffsetConstraints, Priority,
+    PriorityAssignment, ProcessId, SlotId, TdmaConfig, TdmaSlot, Time, TtpBusParams,
 };
 
 proptest! {
@@ -93,5 +95,173 @@ proptest! {
             let cross = app.process(e.source).node() != app.process(e.dest).node();
             prop_assert_eq!(e.message.is_some(), cross);
         }
+    }
+}
+
+/// Ids drawn for the ψ-table properties: a small range, so operations
+/// collide on the same entries often.
+const IDS: u32 = 12;
+
+/// A `HashMap` model of [`PriorityAssignment`] and [`OffsetConstraints`].
+#[derive(Default)]
+struct MapModel {
+    process_priorities: HashMap<ProcessId, Priority>,
+    message_priorities: HashMap<MessageId, Priority>,
+    process_pins: HashMap<ProcessId, Time>,
+    message_pins: HashMap<MessageId, Time>,
+}
+
+/// Applies one random operation `(kind, a, b, t)` to the types under test
+/// and to the model.
+fn apply(
+    (kind, a, b, t): (u32, u32, u32, u64),
+    pa: &mut PriorityAssignment,
+    oc: &mut OffsetConstraints,
+    model: &mut MapModel,
+) {
+    let (pa_id, pb_id) = (ProcessId::new(a), ProcessId::new(b));
+    let (ma_id, mb_id) = (MessageId::new(a), MessageId::new(b));
+    let time = Time::from_ticks(t);
+    match kind {
+        0 => {
+            pa.set_process(pa_id, Priority::new(b));
+            model.process_priorities.insert(pa_id, Priority::new(b));
+        }
+        1 => {
+            pa.set_message(ma_id, Priority::new(b));
+            model.message_priorities.insert(ma_id, Priority::new(b));
+        }
+        2 => {
+            pa.swap_processes(pa_id, pb_id);
+            let m = &mut model.process_priorities;
+            if let (Some(&x), Some(&y)) = (m.get(&pa_id), m.get(&pb_id)) {
+                m.insert(pa_id, y);
+                m.insert(pb_id, x);
+            }
+        }
+        3 => {
+            pa.swap_messages(ma_id, mb_id);
+            let m = &mut model.message_priorities;
+            if let (Some(&x), Some(&y)) = (m.get(&ma_id), m.get(&mb_id)) {
+                m.insert(ma_id, y);
+                m.insert(mb_id, x);
+            }
+        }
+        4 => {
+            oc.pin_process(pa_id, time);
+            model.process_pins.insert(pa_id, time);
+        }
+        5 => {
+            oc.pin_message(ma_id, time);
+            model.message_pins.insert(ma_id, time);
+        }
+        6 => {
+            oc.unpin_process(pa_id);
+            model.process_pins.remove(&pa_id);
+        }
+        _ => {
+            oc.unpin_message(ma_id);
+            model.message_pins.remove(&ma_id);
+        }
+    }
+}
+
+/// The entries of one model map, in id order.
+fn sorted<K: Ord + Copy, V: Copy>(map: &HashMap<K, V>) -> Vec<(K, V)> {
+    let mut entries: Vec<(K, V)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    entries
+}
+
+/// Builds both types from the model's entries, visiting them in id order
+/// or in reverse.
+fn rebuild(model: &MapModel, reverse: bool) -> (PriorityAssignment, OffsetConstraints) {
+    fn order<T>(mut v: Vec<T>, reverse: bool) -> Vec<T> {
+        if reverse {
+            v.reverse();
+        }
+        v
+    }
+    let mut pa = PriorityAssignment::new();
+    for (p, prio) in order(sorted(&model.process_priorities), reverse) {
+        pa.set_process(p, prio);
+    }
+    for (m, prio) in order(sorted(&model.message_priorities), reverse) {
+        pa.set_message(m, prio);
+    }
+    let mut oc = OffsetConstraints::new();
+    for (p, t) in order(sorted(&model.process_pins), reverse) {
+        oc.pin_process(p, t);
+    }
+    for (m, t) in order(sorted(&model.message_pins), reverse) {
+        oc.pin_message(m, t);
+    }
+    (pa, oc)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The hash-free ψ tables behave as maps: every operation sequence
+    /// gives the model's lookups, counts and emptiness; equality ignores
+    /// insertion order and pin-then-unpin; `clone_from` into a larger
+    /// value yields an equal value.
+    #[test]
+    fn config_tables_match_a_map_model(
+        ops in proptest::collection::vec((0u32..8, 0u32..IDS, 0u32..IDS, 0u64..1_000), 0..60),
+    ) {
+        let mut pa = PriorityAssignment::new();
+        let mut oc = OffsetConstraints::new();
+        let mut model = MapModel::default();
+        for op in ops {
+            apply(op, &mut pa, &mut oc, &mut model);
+            for i in 0..IDS + 2 {
+                let (p, m) = (ProcessId::new(i), MessageId::new(i));
+                prop_assert_eq!(pa.process(p), model.process_priorities.get(&p).copied());
+                prop_assert_eq!(pa.message(m), model.message_priorities.get(&m).copied());
+                prop_assert_eq!(oc.process(p), model.process_pins.get(&p).copied());
+                prop_assert_eq!(oc.message(m), model.message_pins.get(&m).copied());
+            }
+            prop_assert_eq!(pa.process_count(), model.process_priorities.len());
+            prop_assert_eq!(pa.message_count(), model.message_priorities.len());
+            prop_assert_eq!(
+                oc.is_empty(),
+                model.process_pins.is_empty() && model.message_pins.is_empty()
+            );
+        }
+
+        // Same entries, different insertion orders: equal.
+        let (forward_pa, forward_oc) = rebuild(&model, false);
+        let (reverse_pa, reverse_oc) = rebuild(&model, true);
+        prop_assert_eq!(&pa, &forward_pa);
+        prop_assert_eq!(&pa, &reverse_pa);
+        prop_assert_eq!(&oc, &forward_oc);
+        prop_assert_eq!(&oc, &reverse_oc);
+
+        // A pin set and then removed leaves no trace.
+        let mut churned = oc.clone();
+        churned.pin_process(ProcessId::new(IDS + 1), Time::from_ticks(7));
+        churned.pin_message(MessageId::new(IDS + 1), Time::from_ticks(7));
+        prop_assert!(churned != oc);
+        churned.unpin_process(ProcessId::new(IDS + 1));
+        churned.unpin_message(MessageId::new(IDS + 1));
+        prop_assert_eq!(&churned, &oc);
+
+        // `clone_from` into a value with more (and higher-id) entries.
+        let mut larger_pa = PriorityAssignment::new();
+        let mut larger_oc = OffsetConstraints::new();
+        for i in 0..IDS + 8 {
+            larger_pa.set_process(ProcessId::new(i), Priority::new(i));
+            larger_pa.set_message(MessageId::new(i), Priority::new(i));
+            larger_oc.pin_process(ProcessId::new(i), Time::from_ticks(u64::from(i)));
+            larger_oc.pin_message(MessageId::new(i), Time::from_ticks(u64::from(i)));
+        }
+        larger_pa.clone_from(&pa);
+        larger_oc.clone_from(&oc);
+        prop_assert_eq!(&larger_pa, &pa);
+        prop_assert_eq!(&larger_oc, &oc);
+        prop_assert_eq!(larger_pa.process_count(), model.process_priorities.len());
+        prop_assert_eq!(larger_pa.process(ProcessId::new(IDS + 4)), None);
+        prop_assert_eq!(larger_oc.message(MessageId::new(IDS + 4)), None);
     }
 }

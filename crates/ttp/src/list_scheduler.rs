@@ -87,7 +87,7 @@ pub struct SchedulerInput<'a> {
 /// to rebuild" (the dominant case on the delta-evaluation path, where a
 /// whole re-scheduling pass is skipped because no phase group's releases
 /// moved) with a plain slice comparison, and the scheduler reads bounds by
-/// index instead of hashing inside its O(n²) candidate scans.
+/// index instead of hashing.
 #[derive(Clone, Copy, Debug)]
 pub struct DenseSchedulerInput<'a> {
     /// The system being scheduled.
@@ -269,8 +269,9 @@ impl<'a> Scheduler<'a> {
         // destination readiness can observe the arrival.
         for message in app.messages() {
             let sender_node = app.process(message.source()).node();
-            if system.route(message.id()).uses_ttp()
-                && system.route(message.id()) != MessageRoute::EtcToTtc
+            let route = system.route(message.id());
+            if route.uses_ttp()
+                && route != MessageRoute::EtcToTtc
                 && system.architecture.is_et_cpu(sender_node)
             {
                 let release = self.msg_release(message.id());
@@ -280,45 +281,49 @@ impl<'a> Scheduler<'a> {
 
         // TT processes still waiting for their TT-side predecessors.
         let mut remaining: Vec<usize> = vec![0; app.processes().len()];
-        let mut unscheduled: Vec<ProcessId> = Vec::new();
+        let mut unscheduled = 0usize;
+        // TT processes whose TT-side predecessors are all committed, with
+        // their release/precedence bound: once the last predecessor is
+        // placed, only the node's free time can still move their start.
+        let mut ready: Vec<(ProcessId, Time)> = Vec::new();
         for p in app.processes() {
             if system.architecture.is_tt_cpu(p.node()) {
-                remaining[p.id().index()] = app
+                let preds = app
                     .predecessors(p.id())
                     .iter()
                     .filter(|e| self.counts_as_tt_pred(e.source))
                     .count();
-                unscheduled.push(p.id()); // id order: determinism
+                remaining[p.id().index()] = preds;
+                unscheduled += 1;
+                if preds == 0 {
+                    ready.push((p.id(), self.ready_bound(p.id())));
+                }
             }
         }
 
-        while !unscheduled.is_empty() {
-            // Candidates: all TT-side dependencies resolved.
-            let mut best: Option<(Time, Time, ProcessId)> = None;
-            for &p in &unscheduled {
-                if remaining[p.index()] > 0 {
-                    continue;
-                }
-                let est = self.earliest_start(p);
-                let prio = self.priorities[p.index()];
-                let better = match best {
-                    None => true,
-                    // Earliest start first; critical path length breaks ties.
-                    Some((bt, bp, bid)) => {
-                        (est, std::cmp::Reverse(prio), p) < (bt, std::cmp::Reverse(bp), bid)
-                    }
-                };
-                if better {
-                    best = Some((est, prio, p));
-                }
-            }
-            let (start, _, p) =
-                best.expect("acyclic validated graph always has a ready TT process");
+        while unscheduled > 0 {
+            // Earliest start first; critical path length breaks ties, then
+            // the id (a total order, so the list's order does not matter).
+            let (k, start, p) = ready
+                .iter()
+                .enumerate()
+                .map(|(k, &(p, bound))| {
+                    let node = app.process(p).node();
+                    (k, bound.max(self.node_free[node.index()]), p)
+                })
+                .min_by_key(|&(_, est, p)| (est, std::cmp::Reverse(self.priorities[p.index()]), p))
+                .expect("acyclic validated graph always has a ready TT process");
+            ready.swap_remove(k);
             self.commit(p, start)?;
-            unscheduled.retain(|&q| q != p);
+            unscheduled -= 1;
             for e in app.successors(p) {
                 let r = &mut remaining[e.dest.index()];
-                *r = r.saturating_sub(1);
+                if *r > 0 {
+                    *r -= 1;
+                    if *r == 0 {
+                        ready.push((e.dest, self.ready_bound(e.dest)));
+                    }
+                }
             }
         }
         Ok(())
@@ -331,10 +336,12 @@ impl<'a> Scheduler<'a> {
         self.input.system.architecture.is_tt_cpu(node)
     }
 
-    fn earliest_start(&self, p: ProcessId) -> Time {
+    /// The start bound of a TT process from its release and its inputs,
+    /// once every TT-side predecessor is committed; the process starts at
+    /// the later of this and its node's free time.
+    fn ready_bound(&self, p: ProcessId) -> Time {
         let system = self.input.system;
         let app = &system.application;
-        let node = app.process(p).node();
         let mut ready = self.proc_release(p);
         for e in app.predecessors(p) {
             if !self.counts_as_tt_pred(e.source) {
@@ -364,7 +371,7 @@ impl<'a> Scheduler<'a> {
             };
             ready = ready.max(avail);
         }
-        ready.max(self.node_free[node.index()])
+        ready
     }
 
     fn commit(&mut self, p: ProcessId, start: Time) -> Result<(), ScheduleError> {
@@ -377,9 +384,9 @@ impl<'a> Scheduler<'a> {
         self.node_free[process.node().index()] = finish;
 
         // Place the TTP leg of every outbound message of this TT sender.
-        let outgoing: Vec<MessageId> = app.successors(p).iter().filter_map(|e| e.message).collect();
-        for m in outgoing {
-            if !system.route(m).uses_ttp() || system.route(m) == MessageRoute::EtcToTtc {
+        for m in app.successors(p).iter().filter_map(|e| e.message) {
+            let route = system.route(m);
+            if !route.uses_ttp() || route == MessageRoute::EtcToTtc {
                 continue; // CAN-only, or FIFO-forwarded by the gateway
             }
             let ready = finish.max(self.msg_release(m));
