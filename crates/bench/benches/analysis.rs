@@ -1,11 +1,12 @@
 //! Run-time benchmarks of the analysis kernels: the `MultiClusterScheduling`
-//! fixed point at the paper's application sizes, fresh-per-call vs
-//! context-reuse evaluation, the CAN queuing analysis, the FIFO-bound
-//! ablation, and the discrete-event simulator.
+//! fixed point at the paper's application sizes, the frozen seed
+//! evaluation vs fresh-per-call vs context-reuse evaluation, full vs delta
+//! evaluation over an SA move trace, the CAN queuing analysis, the
+//! FIFO-bound ablation, and the discrete-event simulator.
 //!
-//! The `evaluator_reuse` group additionally writes `BENCH_core.json` (repo
-//! root, or `BENCH_CORE_JSON` if set) with evaluations/second for both
-//! paths, so the core perf trajectory is tracked from PR 1 onward.
+//! The `evaluator_reuse`, `delta_rta` and `delta_rta_multiperiod` groups
+//! additionally write their evaluations/second and speedup ratios into
+//! `BENCH_core.json` (repo root, or `BENCH_CORE_JSON` if set).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -87,12 +88,12 @@ fn bench_evaluator_reuse(c: &mut Criterion) {
     mcs_bench::record_bench_section("evaluator_reuse", &body);
 }
 
-/// The delta-RTA bench: the frozen PR 1 evaluator vs the full and the delta
-/// seedings of the worklist engine, replaying one SA move trace (sampled
-/// moves with recorded accept/reject decisions) on a 160-process instance.
-/// All replays visit identical configurations and — by the delta contract —
-/// produce bit-identical results; only the kernel work differs. One bench
-/// group and one `BENCH_core.json` section per instance:
+/// The delta-RTA bench: the full vs the delta seeding of the worklist
+/// engine, replaying one SA move trace (sampled moves with recorded
+/// accept/reject decisions) on a 160-process instance. Both replays visit
+/// identical configurations and — by the delta contract — produce
+/// bit-identical results; only the kernel work differs. One bench group and
+/// one `BENCH_core.json` section per instance:
 ///
 /// * `delta_rta` — the Fig-9c single-period instance (10 inter-cluster
 ///   messages), the PR 2 baseline workload;
@@ -122,7 +123,7 @@ fn bench_delta_rta_multiperiod(c: &mut Criterion) {
 }
 
 /// One delta-RTA trace-replay group: records the trace with a scout
-/// evaluator, times the three replays, spot-checks their bit-identity and
+/// evaluator, times the two replays, spot-checks their bit-identity and
 /// emits the named section of `BENCH_core.json`.
 fn bench_delta_rta_on(
     c: &mut Criterion,
@@ -137,14 +138,11 @@ fn bench_delta_rta_on(
     let start = sa_start(&system);
 
     // Record the trace once with a scout evaluator: the same sampled moves
-    // and accept decisions are then replayed through every path.
+    // and accept decisions are then replayed through both paths.
     let trace = record_sa_trace(&system, &start, &analysis, 300);
 
     let mut group = c.benchmark_group(section);
     group.sample_size(10);
-    group.bench_function("pr1_reused_path", |b| {
-        b.iter(|| replay_pr1(&system, &start, &analysis, &trace))
-    });
     group.bench_function("full_path", |b| {
         b.iter(|| replay_full(&system, &start, &analysis, &trace))
     });
@@ -153,17 +151,11 @@ fn bench_delta_rta_on(
     });
     group.finish();
 
-    // All replays must land on the same final result (bit-identity spot
+    // Both replays must land on the same final result (bit-identity spot
     // check outside the timed loops; the property tests do the real work).
-    let pr1_final = replay_pr1(&system, &start, &analysis, &trace);
     let full_final = replay_full(&system, &start, &analysis, &trace);
     let delta_final = replay_delta(&system, &start, &analysis, &trace);
     assert_eq!(full_final, delta_final, "delta replay drifted from full");
-    assert_eq!(
-        (full_final.schedule_cost(), full_final.total_buffers),
-        pr1_final,
-        "current evaluator drifted from the PR 1 baseline"
-    );
 
     let result_of = |criterion: &Criterion, suffix: &str| {
         criterion
@@ -174,7 +166,6 @@ fn bench_delta_rta_on(
             .map(|r| trace.len() as f64 * 1e9 / r.mean_ns)
             .unwrap_or(0.0)
     };
-    let pr1_reused = result_of(c, "pr1_reused_path");
     let full = result_of(c, "full_path");
     let delta = result_of(c, "delta_path");
     let (delta_passes, full_passes) = {
@@ -203,15 +194,12 @@ fn bench_delta_rta_on(
     let body = format!(
         "{{\"instance\": \"{instance_label}\", \
          \"trace_moves\": {}, \
-         \"pr1_reused_evaluations_per_sec\": {pr1_reused:.2}, \
          \"full_evaluations_per_sec\": {full:.2}, \
          \"delta_evaluations_per_sec\": {delta:.2}, \
-         \"speedup_vs_pr1_reused\": {:.2}, \
          \"speedup_vs_full_path\": {:.2}, \
          \"delta_holistic_passes\": {delta_passes}, \
          \"full_holistic_passes\": {full_passes}}}",
         trace.len(),
-        delta / pr1_reused.max(f64::MIN_POSITIVE),
         delta / full.max(f64::MIN_POSITIVE),
     );
     mcs_bench::record_bench_section(section, &body);
@@ -266,32 +254,6 @@ fn record_sa_trace(
         }
     }
     trace
-}
-
-/// Replays the trace through the frozen PR 1 evaluator — the criterion's
-/// baseline: "the PR 1 reused path" on the very same workload.
-fn replay_pr1(
-    system: &mcs_model::System,
-    start: &mcs_model::SystemConfig,
-    analysis: &AnalysisParams,
-    trace: &SaTrace,
-) -> (i128, u64) {
-    let mut evaluator = mcs_bench::pr1_baseline::Pr1Evaluator::new(system, *analysis);
-    let mut config = start.clone();
-    let mut last = evaluator.evaluate(&config).expect("analyzable");
-    for &(mv, accepted) in trace {
-        let undo = mv.apply_undoable(&mut config);
-        match evaluator.evaluate(&config) {
-            Ok(summary) => {
-                last = summary;
-                if !accepted {
-                    undo.revert(&mut config);
-                }
-            }
-            Err(_) => undo.revert(&mut config),
-        }
-    }
-    (last.schedule_cost(), last.total_buffers)
 }
 
 fn replay_full(

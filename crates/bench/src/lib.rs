@@ -13,14 +13,14 @@
 //! | `cruise` | the §6 cruise-controller table |
 //!
 //! Criterion benches (`cargo bench -p mcs-bench`) measure the §6 run-time
-//! claims (heuristics vs simulated annealing), fresh-per-call vs
-//! context-reuse evaluation (`evaluator_reuse`), and full vs delta
-//! evaluation over an SA move trace against both the current full path and
-//! the frozen [`pr1_baseline`] evaluator — on the single-period Fig-9c
-//! instance (`delta_rta`) and on its multi-period `{1, 2, 4}` counterpart
-//! (`delta_rta_multiperiod`); each emits its evaluations/second into
-//! `BENCH_core.json` via [`record_bench_section`]. The ablations called
-//! out in DESIGN.md live in the `optimization` bench.
+//! claims (heuristics vs simulated annealing), the frozen
+//! [`seed_baseline`] evaluation vs fresh-per-call vs context-reuse
+//! evaluation (`evaluator_reuse`), and full vs delta evaluation over an SA
+//! move trace — on the single-period Fig-9c instance (`delta_rta`) and on
+//! its multi-period `{1, 2, 4}` counterpart (`delta_rta_multiperiod`);
+//! each emits its evaluations/second into `BENCH_core.json` via
+//! [`record_bench_section`]. The search-level ablations live in the
+//! `optimization` bench.
 //!
 //! All binaries accept `--seeds N` (instances per point, default 5; the
 //! paper used 30) and `--sa-iters N` (SA budget per instance, default 200;
@@ -44,7 +44,6 @@ use std::path::{Path, PathBuf};
 use mcs_opt::{JobRecord, SynthesisReport};
 
 pub mod campaign;
-pub mod pr1_baseline;
 pub mod seed_baseline;
 
 /// The root of the workspace containing `start`: the nearest directory at

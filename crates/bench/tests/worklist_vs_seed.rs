@@ -1,12 +1,11 @@
-//! Worklist engine vs the frozen baselines on **multi-period** instances:
+//! Worklist engine vs the frozen baseline on **multi-period** instances:
 //! move walks through both seedings of the unified engine
 //! ([`Evaluator::evaluate`] and [`Evaluator::evaluate_delta`]) must
-//! reproduce the frozen seed implementation and the frozen PR 1 evaluator
-//! bit-for-bit after every move. The single-period anchor lives in
-//! `delta_vs_seed.rs` (untouched); this suite extends the anchor to the
-//! multi-rate application model the value-driven worklist exploits.
+//! reproduce the frozen seed implementation bit-for-bit after every move.
+//! The single-period anchor lives in `delta_vs_seed.rs` (untouched); this
+//! suite extends the anchor to the multi-rate application model the
+//! value-driven worklist exploits.
 
-use mcs_bench::pr1_baseline::Pr1Evaluator;
 use mcs_bench::seed_baseline::seed_evaluate;
 use mcs_core::{AnalysisParams, DeltaSeeds, Evaluator};
 use mcs_gen::{generate, GeneratorParams, PeriodMultipliers};
@@ -26,10 +25,8 @@ fn multiperiod_walk_matches_the_frozen_baselines() {
         config.priorities = hopa_priorities(&system, &config.tdma);
 
         let mut delta = Evaluator::new(&system, analysis);
-        let mut pr1 = Pr1Evaluator::new(&system, analysis);
         let mut seeds = DeltaSeeds::new();
         delta.evaluate(&config).expect("analyzable");
-        pr1.evaluate(&config).expect("analyzable");
         let mut current =
             mcs_opt::evaluate(&system, config.clone(), &analysis).expect("analyzable");
 
@@ -40,7 +37,6 @@ fn multiperiod_walk_matches_the_frozen_baselines() {
             let undo = mv.apply_undoable_seeded(&mut config, &mut seeds);
 
             let seed_result = seed_evaluate(&system, config.clone(), &analysis);
-            let pr1_result = pr1.evaluate(&config);
             let warm = delta.evaluate_delta(&config, &seeds);
             match (seed_result, warm) {
                 (Ok((degree, buffers, outcome)), Ok(summary)) => {
@@ -55,10 +51,6 @@ fn multiperiod_walk_matches_the_frozen_baselines() {
                     assert_eq!(warm_outcome.message_timing, outcome.message_timing);
                     assert_eq!(warm_outcome.queues, outcome.queues);
                     assert_eq!(warm_outcome.graph_response, outcome.graph_response);
-                    // The frozen PR 1 evaluator agrees too.
-                    let pr1_summary = pr1_result.expect("pr1 analyzable where seed is");
-                    assert_eq!(pr1_summary.degree, degree);
-                    assert_eq!(pr1_summary.total_buffers, buffers);
                     if round % 2 == 0 {
                         current = mcs_opt::evaluate(&system, config.clone(), &analysis)
                             .expect("analyzable");

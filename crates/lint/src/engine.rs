@@ -236,8 +236,6 @@ impl Config {
             wall_clock_allow: vec![
                 // The serving layer: deadlines, backoff, elapsed accounting.
                 "crates/opt/src/serve.rs".into(),
-                // The Budget wall-clock axis.
-                "crates/opt/src/synthesis.rs".into(),
                 // Bench timing (tables record wall-clock by design).
                 "crates/bench/".into(),
                 // The criterion shim IS a timer.

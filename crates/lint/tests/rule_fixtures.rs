@@ -42,6 +42,16 @@ fn wall_clock_silent_on_the_serve_allowlist() {
 }
 
 #[test]
+fn wall_clock_flags_the_synthesis_module() {
+    let src = "fn f() -> std::time::Instant { Instant::now() }\n";
+    assert_eq!(
+        rules_fired("crates/opt/src/synthesis.rs", src),
+        ["wall-clock"],
+        "only the serving layer owns deadlines; search code never reads the clock"
+    );
+}
+
+#[test]
 fn wall_clock_flags_system_time() {
     let src = "fn f() { let _ = SystemTime::UNIX_EPOCH; }\n";
     assert_eq!(rules_fired("crates/sim/src/engine.rs", src), ["wall-clock"]);

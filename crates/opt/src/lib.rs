@@ -15,11 +15,11 @@
 //! * [`Sf`] (SF), [`Sa::schedule`] (SAS) and [`Sa::resources`] (SAR) — the
 //!   evaluation baselines.
 //!
-//! On top of single runs, [`Portfolio`] runs several strategies on one
-//! instance across rayon workers and picks a winner deterministically, and
-//! the [`serve`] module's [`SynthesisService`] serves (instance × strategy)
-//! jobs — streamed, or as a whole batch through [`run_batch`], the layer
-//! the paper-reproduction sweeps sit on.
+//! On top of single runs, the [`serve`] module's [`SynthesisService`]
+//! serves (instance × strategy) jobs — streamed, or as a whole batch
+//! through [`run_batch`], the layer the paper-reproduction sweeps sit on.
+//! Several strategies on one instance are such a batch, and
+//! [`best_record`] picks its winner deterministically.
 //!
 //! The free functions of the pre-`Synthesis` API (`optimize_schedule`,
 //! `optimize_resources`, `sa_schedule`, `sa_resources`, `anneal`) have
@@ -114,12 +114,11 @@ pub use os::{recommended_lengths, Os, OsParams};
 pub use sampler::MoveSampler;
 pub use sensitivity::{criticality_ranking, wcet_slack, WcetSlack};
 pub use serve::{
-    run_batch, CancelCause, JobId, JobOutcome, JobRecord, JobSpec, RetryPolicy, ServiceConfig,
-    SubmitError, SynthesisService,
+    best_record, run_batch, CancelCause, JobId, JobOutcome, JobRecord, JobSpec, RetryPolicy,
+    ServiceConfig, SubmitError, SynthesisService,
 };
 pub use sf::{minimal_slot_capacities, straightforward_config, Sf};
 pub use synthesis::{
-    Budget, BudgetAxis, CancelToken, EventCounter, Objective, Observer, Portfolio, PortfolioReport,
-    SearchCtx, SearchEvent, Selection, Strategy, Synthesis, SynthesisError, SynthesisReport,
-    TrajectoryPoint,
+    Budget, BudgetAxis, CancelToken, EventCounter, Objective, Observer, SearchCtx, SearchEvent,
+    Strategy, Synthesis, SynthesisError, SynthesisReport, TrajectoryPoint,
 };

@@ -7,7 +7,8 @@
 //! stable JSON-lines rendering via [`mcs_core::json_line`]).
 //! [`run_batch`] serves a *static* batch on it — every job known up front,
 //! the pool drains it, records come back in submission order — and is
-//! what the paper-reproduction sweeps sit on.
+//! what the paper-reproduction sweeps sit on; [`best_record`] picks the
+//! winner of a batch that runs several strategies on one instance.
 //!
 //! # Contracts
 //!
@@ -28,11 +29,16 @@
 //! [`CancelCause::Preempted`]) carrying its partial report, from which the
 //! client can [resume](JobSpec::resume_from).
 //!
-//! **Deadlines.** A [`JobSpec::deadline`] overlays a wall-clock axis onto
-//! the job's [`Budget`] (per attempt, measured from execution start — queue
-//! wait does not count). A run past its deadline winds down cooperatively
-//! and records [`JobOutcome::TimedOut`] with the partial report. Like the
-//! budget itself, deadlines are cooperative: a strategy that never polls
+//! **Deadlines.** A [`JobSpec::deadline`] caps the wall-clock time of each
+//! attempt, measured from execution start (queue wait does not count).
+//! Each worker keeps a timer thread that an attempt with a deadline arms;
+//! if the deadline passes before the attempt ends, the timer cancels the
+//! job's [`CancelToken`], and the run winds down at its next budget poll —
+//! including inside a [resume](JobSpec::resume_from) replay — and records
+//! [`JobOutcome::TimedOut`] with the partial report (whose `exhausted_by`
+//! reads `cancelled`). The search itself never reads the host clock: it
+//! sees a deadline only as a cancelled token. Like every cancellation,
+//! deadlines are cooperative: a strategy that never polls
 //! [`SearchCtx::exhausted`](crate::SearchCtx::exhausted) cannot be stopped.
 //!
 //! **Panic isolation.** Each attempt runs under
@@ -46,7 +52,11 @@
 //! [`RetryPolicy::max_retries`] times with exponential backoff
 //! (analysis *errors* are deterministic and never retried; timeouts and
 //! cancellations are resumable instead). [`JobRecord::attempts`] reports
-//! the attempts consumed.
+//! the attempts consumed. A job stays registered as running through its
+//! backoffs, so a cancellation, preemption or
+//! [`SynthesisService::shutdown_now`] during a backoff reaches it too: it
+//! is not retried and records [`JobOutcome::Cancelled`] without a partial
+//! report.
 //!
 //! **Resumable jobs.** A preempted or timed-out job's partial
 //! [`SynthesisReport`] re-seeds a continuation via
@@ -104,7 +114,8 @@ use mcs_core::AnalysisParams;
 use mcs_model::System;
 
 use crate::synthesis::{
-    Budget, BudgetAxis, CancelToken, Strategy, Synthesis, SynthesisError, SynthesisReport,
+    Budget, BudgetAxis, CancelToken, Objective, Strategy, Synthesis, SynthesisError,
+    SynthesisReport,
 };
 
 // ---------------------------------------------------------------------------
@@ -246,15 +257,16 @@ impl JobSpec {
         self
     }
 
-    /// Sets the job's [`Budget`] (evaluation and/or wall-clock axes).
+    /// Sets the job's evaluation [`Budget`].
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
     }
 
     /// Caps wall-clock time per attempt (measured from execution start;
-    /// queue wait does not count). Tightens any wall-clock axis the budget
-    /// already carries.
+    /// queue wait does not count): once it passes, the attempt is cancelled
+    /// and the job records [`JobOutcome::TimedOut`] — see the
+    /// [module docs](self).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -329,8 +341,8 @@ pub enum JobOutcome {
     /// The run failed with a structured error (unanalyzable start, no
     /// incumbent before exhaustion, resume divergence).
     Failed(SynthesisError),
-    /// The wall-clock deadline passed before the strategy finished;
-    /// `partial` carries whatever incumbent the run had recorded.
+    /// The job's deadline passed before the strategy finished; `partial`
+    /// carries whatever incumbent the run had recorded.
     TimedOut {
         /// The partial report, `None` if no incumbent was recorded yet.
         partial: Option<Box<SynthesisReport>>,
@@ -551,7 +563,7 @@ impl Ord for QueuedJob {
 }
 
 /// What the submit path needs to know about a running job to preempt or
-/// cancel it.
+/// cancel it. Registered for the whole job, retry backoffs included.
 struct RunningEntry {
     id: JobId,
     priority: u8,
@@ -719,7 +731,7 @@ impl SynthesisService {
                 .running
                 .iter_mut()
                 .flatten()
-                .filter(|e| e.cancel_cause.is_none() && e.priority < priority)
+                .filter(|e| !e.token.is_cancelled() && e.priority < priority)
                 .min_by_key(|e| (e.priority, std::cmp::Reverse(e.id)))
             {
                 entry.cancel_cause = Some(CancelCause::Preempted);
@@ -905,11 +917,25 @@ pub fn run_batch(jobs: Vec<JobSpec>) -> Vec<JobRecord> {
     records
 }
 
+/// The winner of a group of records — typically a [`run_batch`] of several
+/// strategies or seeds on one instance: the record whose full or partial
+/// report ([`JobOutcome::report`]) has the lowest `objective` cost, ties
+/// going to the lowest [`JobId`]. Records without a report (failed or
+/// panicked jobs) never win; `None` when no record has one.
+pub fn best_record(records: &[JobRecord], objective: Objective) -> Option<&JobRecord> {
+    records
+        .iter()
+        .filter_map(|record| Some((record.outcome.report()?, record)))
+        .min_by_key(|(report, record)| (objective.evaluation_cost(&report.best), record.id))
+        .map(|(_, record)| record)
+}
+
 // ---------------------------------------------------------------------------
 // Workers
 // ---------------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared, tx: &Sender<JobRecord>, slot: usize) {
+    let timer = DeadlineTimer::start();
     loop {
         let queued = {
             let mut st = shared.lock();
@@ -929,7 +955,7 @@ fn worker_loop(shared: &Shared, tx: &Sender<JobRecord>, slot: usize) {
             }
         };
         let Some(queued) = queued else {
-            return;
+            break;
         };
         shared.not_full.notify_one();
         let cancelled = shared.lock().cancelled_queued.remove(&queued.id);
@@ -947,94 +973,96 @@ fn worker_loop(shared: &Shared, tx: &Sender<JobRecord>, slot: usize) {
                     cause,
                 },
             },
-            None => execute_job(shared, slot, queued),
+            None => execute_job(shared, slot, &timer, queued),
         };
         // Record first, then retire: `drain` relies on every record being
         // in the channel by the time `outstanding` reaches zero.
         let _ = tx.send(record);
         shared.lock().outstanding -= 1;
     }
+    timer.stop();
 }
 
-fn execute_job(shared: &Shared, slot: usize, queued: QueuedJob) -> JobRecord {
+fn execute_job(
+    shared: &Shared,
+    slot: usize,
+    timer: &DeadlineTimer,
+    queued: QueuedJob,
+) -> JobRecord {
     let QueuedJob { id, mut spec } = queued;
     let retry = spec.retry.unwrap_or(shared.retry);
+    // One token for the whole job, so a cancel that lands during a retry
+    // backoff stops the job like one that lands during a run.
+    let token = CancelToken::new();
+    shared.lock().running[slot] = Some(RunningEntry {
+        id,
+        priority: spec.priority,
+        token: token.clone(),
+        cancel_cause: None,
+    });
     let started = Instant::now();
     let mut attempts = 0u32;
     let outcome = loop {
         attempts += 1;
-        let token = CancelToken::new();
-        {
-            let mut st = shared.lock();
-            st.running[slot] = Some(RunningEntry {
-                id,
-                priority: spec.priority,
-                token: token.clone(),
-                cancel_cause: None,
-            });
+        if let Some(deadline) = spec.deadline {
+            timer.arm(deadline, token.clone());
         }
-        let budget = match spec.deadline {
-            Some(deadline) => spec.budget.with_wall_clock(deadline),
-            None => spec.budget,
-        };
-        let attempt_started = Instant::now();
         // Strategies keep their mutable search state local to `run`, and
         // every attempt builds a fresh `Evaluator`, so resuming the loop
         // after a caught panic observes no torn state.
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut builder = Synthesis::builder(&spec.system)
                 .analysis(spec.analysis)
-                .budget(budget)
+                .budget(spec.budget)
                 .cancel(token.clone());
             if let Some(checkpoint) = &spec.resume {
                 builder = builder.resume_from(checkpoint);
             }
             builder.strategy(&mut spec.strategy).run()
         }));
-        let cancel_cause = {
-            let mut st = shared.lock();
-            st.running[slot].take().and_then(|entry| entry.cancel_cause)
+        let timed_out = spec.deadline.is_some() && timer.disarm();
+        // The outcome of a job its token stopped: timed out when this
+        // attempt's deadline fired first, cancelled otherwise.
+        let stopped = |partial: Option<Box<SynthesisReport>>| {
+            if timed_out {
+                return JobOutcome::TimedOut { partial };
+            }
+            let cause = shared.lock().running[slot]
+                .as_ref()
+                .and_then(|entry| entry.cancel_cause);
+            JobOutcome::Cancelled {
+                partial,
+                cause: cause.unwrap_or(CancelCause::Explicit),
+            }
         };
         match run {
             Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                if attempts <= retry.max_retries {
-                    thread::sleep(retry.backoff_for(attempts));
-                    continue;
+                if attempts > retry.max_retries {
+                    break JobOutcome::Panicked {
+                        message: panic_message(payload.as_ref()),
+                    };
                 }
-                break JobOutcome::Panicked { message };
+                if !token.is_cancelled() {
+                    thread::sleep(retry.backoff_for(attempts));
+                }
+                if token.is_cancelled() {
+                    break stopped(None);
+                }
             }
             Ok(Ok(report)) => {
                 break match report.exhausted_by {
-                    Some(BudgetAxis::WallClock) => JobOutcome::TimedOut {
-                        partial: Some(Box::new(report)),
-                    },
-                    Some(BudgetAxis::Cancelled) => JobOutcome::Cancelled {
-                        partial: Some(Box::new(report)),
-                        cause: cancel_cause.unwrap_or(CancelCause::Explicit),
-                    },
+                    Some(BudgetAxis::Cancelled) => stopped(Some(Box::new(report))),
                     // Evaluation-budget exhaustion is a normal completion;
                     // the report itself says `exhausted`.
                     Some(BudgetAxis::Evaluations) | None => JobOutcome::Completed(Box::new(report)),
                 };
             }
-            Ok(Err(e)) => {
-                if token.is_cancelled() || cancel_cause.is_some() {
-                    break JobOutcome::Cancelled {
-                        partial: None,
-                        cause: cancel_cause.unwrap_or(CancelCause::Explicit),
-                    };
-                }
-                let deadline_passed = budget
-                    .max_duration()
-                    .is_some_and(|d| attempt_started.elapsed() >= d);
-                if deadline_passed && matches!(e, SynthesisError::NoIncumbent) {
-                    break JobOutcome::TimedOut { partial: None };
-                }
-                break JobOutcome::Failed(e);
-            }
+            // Stopped before recording an incumbent.
+            Ok(Err(SynthesisError::NoIncumbent)) if token.is_cancelled() => break stopped(None),
+            Ok(Err(e)) => break JobOutcome::Failed(e),
         }
     };
+    shared.lock().running[slot] = None;
     JobRecord {
         id,
         name: spec.name,
@@ -1044,6 +1072,66 @@ fn execute_job(shared: &Shared, slot: usize, queued: QueuedJob) -> JobRecord {
         elapsed_micros: started.elapsed().as_micros() as u64,
         tag: spec.tag,
         outcome,
+    }
+}
+
+/// A worker's [`JobSpec::deadline`] enforcer: a thread that lives as long
+/// as its worker and, once armed for an attempt, cancels the attempt's
+/// token if the deadline passes before the attempt ends. One long-lived
+/// thread per worker keeps thread start-up off the job path: a thread per
+/// attempt cost about 10% of the throughput of ~100 ms OR jobs on a
+/// 2-vCPU host.
+struct DeadlineTimer {
+    /// `Some` arms the timer for an attempt; `None` ends the attempt.
+    arm: Sender<Option<(Duration, CancelToken)>>,
+    /// One verdict per armed attempt: whether its deadline fired.
+    fired: Receiver<bool>,
+    thread: thread::JoinHandle<()>,
+}
+
+impl DeadlineTimer {
+    fn start() -> Self {
+        let (arm, armed) = mpsc::channel::<Option<(Duration, CancelToken)>>();
+        let (verdict, fired) = mpsc::channel();
+        let thread = thread::Builder::new()
+            .name("mcs-serve-deadline".into())
+            .spawn(move || {
+                while let Ok(Some((deadline, token))) = armed.recv() {
+                    let expired =
+                        matches!(armed.recv_timeout(deadline), Err(RecvTimeoutError::Timeout));
+                    // A job someone already cancelled keeps that cause.
+                    let timed_out = expired && !token.is_cancelled();
+                    if timed_out {
+                        token.cancel();
+                    }
+                    // An expired attempt still has to end before its verdict.
+                    if expired && armed.recv().is_err() {
+                        break;
+                    }
+                    if verdict.send(timed_out).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawning a deadline timer thread");
+        DeadlineTimer { arm, fired, thread }
+    }
+
+    /// Starts timing an attempt that `token` stops.
+    fn arm(&self, deadline: Duration, token: CancelToken) {
+        // The thread only exits once this timer is stopped.
+        let _ = self.arm.send(Some((deadline, token)));
+    }
+
+    /// Ends the armed attempt; `true` when its deadline had fired.
+    fn disarm(&self) -> bool {
+        let _ = self.arm.send(None);
+        self.fired.recv().unwrap_or(false)
+    }
+
+    fn stop(self) {
+        drop(self.arm);
+        let _ = self.thread.join();
     }
 }
 

@@ -1,36 +1,32 @@
 //! The synthesis front door: one strategy-driven driver for every search
-//! heuristic of the paper, plus portfolio execution.
+//! heuristic of the paper.
 //!
 //! Historically each heuristic (SF, SAS/SAR annealing, OS, OR, HOPA
 //! seeding) was a free function hand-wiring its own [`Evaluator`], loop and
 //! result struct, and every experiment binary re-implemented the same
-//! driver glue. This module replaces that with two composable layers:
+//! glue around them. This module replaces that with **[`Synthesis`]**, a
+//! builder running *one* [`Strategy`] against *one* system:
 //!
-//! 1. **[`Synthesis`]** — a builder-style driver running *one*
-//!    [`Strategy`] against *one* system:
+//! ```no_run
+//! use mcs_core::AnalysisParams;
+//! use mcs_gen::{generate, GeneratorParams};
+//! use mcs_opt::{Budget, Sa, SaParams, Synthesis};
 //!
-//!    ```no_run
-//!    use mcs_core::AnalysisParams;
-//!    use mcs_gen::{generate, GeneratorParams};
-//!    use mcs_opt::{Budget, Sa, SaParams, Synthesis};
+//! let system = generate(&GeneratorParams::paper_sized(2, 1));
+//! let report = Synthesis::builder(&system)
+//!     .analysis(AnalysisParams::default())
+//!     .strategy(Sa::resources(SaParams::default()))
+//!     .budget(Budget::evals(200_000))
+//!     .run()
+//!     .expect("the SA start configuration is analyzable");
+//! println!("schedulable: {}", report.best.is_schedulable());
+//! ```
 //!
-//!    let system = generate(&GeneratorParams::paper_sized(2, 1));
-//!    let report = Synthesis::builder(&system)
-//!        .analysis(AnalysisParams::default())
-//!        .strategy(Sa::resources(SaParams::default()))
-//!        .budget(Budget::evals(200_000))
-//!        .run()
-//!        .expect("the SA start configuration is analyzable");
-//!    println!("schedulable: {}", report.best.is_schedulable());
-//!    ```
-//!
-//! 2. **[`Portfolio`]** — N strategies (or N seeds of one strategy) run
-//!    on the same instance across rayon workers, with deterministic winner
-//!    selection ([`Selection::FirstSchedulable`] or
-//!    [`Selection::BestCost`]).
-//!
-//! Batches of (instance × strategy) jobs — the `fig9` sweeps — run on the
-//! [`crate::serve`] service through [`crate::serve::run_batch`].
+//! Everything that runs more than one search — several strategies or seeds
+//! on one instance, or the (instance × strategy) batches of the `fig9`
+//! sweeps — is a batch of jobs on the [`crate::serve`] service, run through
+//! [`crate::serve::run_batch`]; [`crate::serve::best_record`] picks a
+//! group's winner.
 //!
 //! # The `Strategy` contract
 //!
@@ -66,18 +62,16 @@
 //! Every strategy shipped here is a pure function of (system, analysis
 //! params, strategy params, budget): a seeded run reproduces its **entire
 //! event stream** — same events, same order, same payloads — and therefore
-//! its report, bit for bit. [`Portfolio::run`] and
-//! [`crate::serve::run_batch`] preserve that: results are collected in
-//! submission order regardless of worker interleaving, and winner selection
-//! is a deterministic function of the collected reports (ties break toward
-//! the lowest entry index).
+//! its report, bit for bit. [`crate::serve::run_batch`] preserves that:
+//! records come back in submission order regardless of worker
+//! interleaving, and [`crate::serve::best_record`] is a deterministic
+//! function of them (ties break toward the lowest job id). Nothing in this
+//! module reads the host clock: a run ends on its evaluation count, its
+//! strategy's own termination, or its [`CancelToken`].
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use mcs_core::{
     AnalysisError, AnalysisParams, BatchRequest, BatchScratch, DeltaSeeds, EvalSummary, Evaluator,
@@ -91,80 +85,38 @@ use crate::moves::Move;
 // Budget & cancellation
 // ---------------------------------------------------------------------------
 
-/// A budget for one synthesis run, with two independent axes: a
-/// **evaluation-count** axis ([`Budget::evals`]) and a **wall-clock** axis
-/// ([`Budget::wall_clock`]); [`Budget::evals_and_time`] combines both. The
-/// run exhausts as soon as *either* axis does, and the report records which
-/// one fired first ([`SynthesisReport::exhausted_by`]).
+/// The evaluation budget of one synthesis run: at most
+/// [`Budget::evals`] schedulability analyses.
 ///
 /// The budget is **cooperative**: strategies poll
 /// [`SearchCtx::exhausted`] between candidates and wind down; a strategy
-/// mid-candidate may finish it, so a run can end a few evaluations (or
-/// milliseconds) past the limit. [`Budget::UNLIMITED`] (the default) never
-/// exhausts.
+/// mid-candidate may finish it, so a run can end a few evaluations past
+/// the limit. [`Budget::UNLIMITED`] (the default) never exhausts.
 ///
-/// The wall-clock axis makes a run *nondeterministic in where it stops*
-/// (machine-load dependent) but never in what it computes up to that point;
-/// a time-truncated run can be continued bit-identically through
-/// [`Synthesis::resume_from`].
+/// Wall-clock limits are not a budget axis: the serving layer's
+/// [`JobSpec::deadline`](crate::serve::JobSpec::deadline) cancels the run
+/// through its [`CancelToken`]. Where such a cut lands depends on machine
+/// load, but what the run computes up to it never does; a cut run can be
+/// continued bit-identically through [`Synthesis::resume_from`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Budget {
     max_evaluations: u64,
-    max_duration: Option<Duration>,
 }
 
 impl Budget {
     /// No limit: the strategy runs to its natural completion.
     pub const UNLIMITED: Budget = Budget {
         max_evaluations: u64::MAX,
-        max_duration: None,
     };
 
     /// At most `n` schedulability evaluations.
     pub fn evals(n: u64) -> Self {
-        Budget {
-            max_evaluations: n,
-            ..Budget::UNLIMITED
-        }
-    }
-
-    /// At most `limit` of wall-clock time (measured from
-    /// [`Synthesis::run`] entry).
-    pub fn wall_clock(limit: Duration) -> Self {
-        Budget {
-            max_duration: Some(limit),
-            ..Budget::UNLIMITED
-        }
-    }
-
-    /// Both axes: at most `n` evaluations *and* at most `limit` wall-clock
-    /// time, whichever exhausts first.
-    pub fn evals_and_time(n: u64, limit: Duration) -> Self {
-        Budget {
-            max_evaluations: n,
-            max_duration: Some(limit),
-        }
-    }
-
-    /// Tightens (or sets) the wall-clock axis to at most `limit`, keeping
-    /// the evaluation axis. Used by the serving layer to overlay a per-job
-    /// deadline onto whatever budget the job already carries.
-    #[must_use]
-    pub fn with_wall_clock(self, limit: Duration) -> Self {
-        Budget {
-            max_duration: Some(self.max_duration.map_or(limit, |d| d.min(limit))),
-            ..self
-        }
+        Budget { max_evaluations: n }
     }
 
     /// The evaluation limit, `None` when unlimited.
     pub fn max_evaluations(&self) -> Option<u64> {
         (self.max_evaluations != u64::MAX).then_some(self.max_evaluations)
-    }
-
-    /// The wall-clock limit, `None` when unlimited.
-    pub fn max_duration(&self) -> Option<Duration> {
-        self.max_duration
     }
 }
 
@@ -174,27 +126,24 @@ impl Default for Budget {
     }
 }
 
-/// Which budget axis ended a run (see [`SearchCtx::exhausted`]).
+/// Which limit ended a run (see [`SearchCtx::exhausted`]).
 ///
-/// When several axes are exhausted at the same poll, the first in
-/// (evaluations, wall clock, cancellation) order is recorded.
+/// When both are reached at the same poll, `Evaluations` is recorded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BudgetAxis {
     /// The evaluation-count limit was reached.
     Evaluations,
-    /// The wall-clock limit (deadline) passed.
-    WallClock,
-    /// The run's [`CancelToken`] was cancelled.
+    /// The run's [`CancelToken`] was cancelled — explicitly, by preemption,
+    /// by shutdown or by a serving-layer deadline.
     Cancelled,
 }
 
 impl BudgetAxis {
-    /// A stable lower-case name (`"evaluations"`, `"wall_clock"`,
-    /// `"cancelled"`) for machine-readable records.
+    /// A stable lower-case name (`"evaluations"`, `"cancelled"`) for
+    /// machine-readable records.
     pub fn as_str(&self) -> &'static str {
         match self {
             BudgetAxis::Evaluations => "evaluations",
-            BudgetAxis::WallClock => "wall_clock",
             BudgetAxis::Cancelled => "cancelled",
         }
     }
@@ -436,8 +385,6 @@ pub struct SearchCtx<'s, 'a, 'run> {
     evaluator: &'run mut Evaluator<'s>,
     observers: &'run mut [Box<dyn Observer + 'a>],
     budget: Budget,
-    /// Wall-clock cut-off derived from the budget at `run()` entry.
-    deadline: Option<Instant>,
     cancel: Option<CancelToken>,
     evaluations: u64,
     /// The first budget axis observed exhausted; sticky (every axis is
@@ -499,20 +446,18 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
         self.evaluations
     }
 
-    /// `true` once the budget is spent (either axis) or the run was
+    /// `true` once the evaluation budget is spent or the run was
     /// cancelled. Strategies poll this between candidates and wind down.
     ///
     /// The verdict is sticky: the first exhausted poll pins the reported
     /// axis ([`exhausted_by`](Self::exhausted_by)) and every later poll
-    /// reports exhausted without re-examining the clock.
+    /// reports exhausted without re-reading the token.
     pub fn exhausted(&self) -> bool {
         if self.exhausted_axis.get().is_some() {
             return true;
         }
         let axis = if self.evaluations >= self.budget.max_evaluations {
             Some(BudgetAxis::Evaluations)
-        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            Some(BudgetAxis::WallClock)
         } else if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             Some(BudgetAxis::Cancelled)
         } else {
@@ -761,8 +706,7 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
 /// Implementations drive the search loop through the [`SearchCtx`] (see the
 /// [module docs](self) for the full contract): evaluate through the
 /// context, record incumbents, poll [`SearchCtx::exhausted`], emit events.
-/// `Send` is required so strategies can fan out across [`Portfolio`] and
-/// [`crate::serve`] workers.
+/// `Send` is required so strategies can run on [`crate::serve`] workers.
 pub trait Strategy: Send {
     /// A stable, human-readable strategy name (`"SF"`, `"SAS"`, …).
     fn name(&self) -> &'static str;
@@ -811,9 +755,9 @@ pub struct SynthesisReport {
     /// Whether the budget ran out (or the run was cancelled) before the
     /// strategy finished naturally.
     pub exhausted: bool,
-    /// Which budget axis ended the run: `None` for a natural finish,
-    /// otherwise the first axis a [`SearchCtx::exhausted`] poll observed
-    /// (evaluations before wall clock before cancellation).
+    /// Which limit ended the run: `None` for a natural finish, otherwise
+    /// the first one a [`SearchCtx::exhausted`] poll observed (evaluations
+    /// before cancellation).
     pub exhausted_by: Option<BudgetAxis>,
 }
 
@@ -899,14 +843,15 @@ impl<'s, 'a> Synthesis<'s, 'a> {
     /// system, analysis parameters and strategy (same parameters, same
     /// seed) as the interrupted run, and a budget covering the total work
     /// (e.g. the original evaluation limit, or [`Budget::UNLIMITED`]; a
-    /// wall-clock axis restarts from the continuation's `run()` entry).
+    /// serving-layer deadline restarts with the continuation's attempt and
+    /// also covers its replay).
     /// Because every strategy is a pure function of its inputs, the
     /// continuation deterministically replays the interrupted prefix —
     /// re-deriving the search state the checkpoint cannot carry (RNG
     /// stream, working configuration, evaluator caches) — and then runs on,
     /// producing a report **bit-identical** to a never-interrupted run.
     /// This holds for *any* cut point, including nondeterministic
-    /// wall-clock preemptions.
+    /// cancellations, preemptions and deadline cuts.
     ///
     /// Two guarantees distinguish this from simply re-running:
     ///
@@ -951,7 +896,6 @@ impl<'s, 'a> Synthesis<'s, 'a> {
             evaluator: &mut evaluator,
             observers: &mut self.observers,
             budget: self.budget,
-            deadline: self.budget.max_duration().map(|d| Instant::now() + d),
             cancel: self.cancel.clone(),
             evaluations: 0,
             exhausted_axis: Cell::new(None),
@@ -1014,158 +958,12 @@ impl<'s, 'a> Synthesis<'s, 'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Portfolio
-// ---------------------------------------------------------------------------
-
-/// How a [`Portfolio`] picks its winner among the collected reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Selection {
-    /// The first entry (in insertion order) whose incumbent is
-    /// schedulable; falls back to `BestCost(Objective::Schedule)` when none
-    /// is.
-    FirstSchedulable,
-    /// The entry minimizing the objective; ties break toward the lowest
-    /// entry index.
-    BestCost(Objective),
-}
-
-/// The result of a [`Portfolio`] run.
-#[derive(Debug)]
-pub struct PortfolioReport {
-    /// Index of the winning entry, `None` when every entry failed.
-    pub winner: Option<usize>,
-    /// Every entry's labelled report, in insertion order.
-    pub reports: Vec<(String, Result<SynthesisReport, SynthesisError>)>,
-}
-
-impl PortfolioReport {
-    /// The winning entry's label and report.
-    pub fn winner_report(&self) -> Option<(&str, &SynthesisReport)> {
-        let index = self.winner?;
-        let (label, report) = &self.reports[index];
-        Some((label.as_str(), report.as_ref().expect("winner is Ok")))
-    }
-}
-
-/// Runs N strategies (or N seeds) against one system in parallel and picks
-/// a winner deterministically. See the [module docs](self).
-pub struct Portfolio<'s, 'a> {
-    system: &'s System,
-    analysis: AnalysisParams,
-    entries: Vec<(String, Box<dyn Strategy + 'a>)>,
-    budget: Budget,
-    selection: Selection,
-}
-
-impl<'s, 'a> std::fmt::Debug for Portfolio<'s, 'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Portfolio").finish_non_exhaustive()
-    }
-}
-
-impl<'s, 'a> Portfolio<'s, 'a> {
-    /// Starts a portfolio against `system` with default analysis
-    /// parameters, unlimited per-entry budget and
-    /// [`Selection::FirstSchedulable`].
-    pub fn builder(system: &'s System) -> Self {
-        Portfolio {
-            system,
-            analysis: AnalysisParams::default(),
-            entries: Vec::new(),
-            budget: Budget::UNLIMITED,
-            selection: Selection::FirstSchedulable,
-        }
-    }
-
-    /// Sets the analysis parameters shared by every entry.
-    pub fn analysis(mut self, params: AnalysisParams) -> Self {
-        self.analysis = params;
-        self
-    }
-
-    /// Adds a labelled strategy entry.
-    pub fn add(mut self, label: impl Into<String>, strategy: impl Strategy + 'a) -> Self {
-        self.entries.push((label.into(), Box::new(strategy)));
-        self
-    }
-
-    /// Sets the per-entry evaluation budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the winner-selection rule.
-    pub fn selection(mut self, selection: Selection) -> Self {
-        self.selection = selection;
-        self
-    }
-
-    /// Number of entries added so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no entries were added.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Runs every entry (in parallel across rayon workers) and selects the
-    /// winner. Reports come back in insertion order.
-    pub fn run(self) -> PortfolioReport {
-        let Portfolio {
-            system,
-            analysis,
-            entries,
-            budget,
-            selection,
-        } = self;
-        let reports: Vec<(String, Result<SynthesisReport, SynthesisError>)> = entries
-            .into_par_iter()
-            .map(|(label, strategy)| {
-                let report = Synthesis::builder(system)
-                    .analysis(analysis)
-                    .budget(budget)
-                    .strategy(strategy)
-                    .run();
-                (label, report)
-            })
-            .collect();
-        let winner = select_winner(&reports, selection);
-        PortfolioReport { winner, reports }
-    }
-}
-
-fn select_winner(
-    reports: &[(String, Result<SynthesisReport, SynthesisError>)],
-    selection: Selection,
-) -> Option<usize> {
-    let ok = |i: &usize| reports[*i].1.as_ref().ok();
-    let indices: Vec<usize> = (0..reports.len()).filter(|i| ok(i).is_some()).collect();
-    if indices.is_empty() {
-        return None;
-    }
-    match selection {
-        Selection::FirstSchedulable => indices
-            .iter()
-            .copied()
-            .find(|i| ok(i).is_some_and(|r| r.best.is_schedulable()))
-            .or_else(|| select_winner(reports, Selection::BestCost(Objective::Schedule))),
-        Selection::BestCost(objective) => indices.into_iter().min_by_key(|i| {
-            let report = reports[*i].1.as_ref().expect("filtered to Ok");
-            (objective.evaluation_cost(&report.best), *i)
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serve::{run_batch, JobSpec};
-    use crate::{Os, OsParams, Sa, SaParams, Sf};
-    use mcs_gen::{figure4, generate, GeneratorParams};
+    use crate::{Sa, SaParams};
+    use mcs_gen::figure4;
     use mcs_model::Time;
 
     fn quick_sa(seed: u64) -> Sa<'static> {
@@ -1229,40 +1027,6 @@ mod tests {
         // down immediately.
         assert!(report.exhausted);
         assert!(report.evaluations <= 2);
-    }
-
-    #[test]
-    fn portfolio_winner_is_deterministic_across_runs() {
-        let system = generate(&GeneratorParams::paper_sized(2, 23));
-        let run = || {
-            Portfolio::builder(&system)
-                .selection(Selection::BestCost(Objective::Schedule))
-                .add("sf", Sf)
-                .add("sas-0", quick_sa(0))
-                .add("sas-1", quick_sa(1))
-                .add("os", Os::new(OsParams::default()))
-                .run()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.reports.len(), 4);
-        assert_eq!(a.winner, b.winner);
-        let (label_a, report_a) = a.winner_report().expect("one entry succeeds");
-        let (label_b, report_b) = b.winner_report().expect("one entry succeeds");
-        assert_eq!(label_a, label_b);
-        assert_eq!(report_a.summary(), report_b.summary());
-    }
-
-    #[test]
-    fn portfolio_first_schedulable_prefers_insertion_order() {
-        let fig = figure4(Time::from_millis(240));
-        let report = Portfolio::builder(&fig.system)
-            .add("os", Os::new(OsParams::default()))
-            .add("sas", quick_sa(2))
-            .run();
-        // Both find schedulable solutions on figure 4 at 240 ms; the first
-        // entry wins.
-        assert_eq!(report.winner, Some(0));
     }
 
     #[test]

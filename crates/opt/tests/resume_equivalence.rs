@@ -1,11 +1,12 @@
 //! Resume-equivalence suite for `Synthesis::resume_from`: a run cut at an
-//! *arbitrary* evaluation count (or by a wall-clock deadline) and resumed
+//! *arbitrary* evaluation count (or by a serving-layer deadline) and resumed
 //! from its partial report must be **bit-identical** to the uninterrupted
 //! run — same incumbent, same evaluation count, same trajectory, same
 //! exhaustion verdict. The continuation must also stream each event
 //! exactly once across the cut, and reject checkpoints it cannot reproduce
 //! with `SynthesisError::ResumeDivergence`.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -14,8 +15,8 @@ use mcs_core::AnalysisParams;
 use mcs_gen::{generate, GeneratorParams};
 use mcs_model::System;
 use mcs_opt::{
-    Budget, BudgetAxis, EventCounter, Os, OsParams, Sa, SaParams, Synthesis, SynthesisError,
-    SynthesisReport,
+    run_batch, Budget, BudgetAxis, CancelToken, EventCounter, JobOutcome, JobSpec, Os, OsParams,
+    Sa, SaParams, SearchCtx, Strategy, Synthesis, SynthesisError, SynthesisReport,
 };
 
 fn small_system(seed: u64) -> System {
@@ -199,24 +200,49 @@ proptest! {
     }
 }
 
-/// A wall-clock-cut run (the nondeterministic preemption the serving layer
-/// produces) reports the wall-clock axis and resumes bit-identically.
+/// Waits until the run is cut before handing over to the wrapped strategy,
+/// so the cut lands at that strategy's first budget poll however loaded the
+/// machine is.
+struct AfterCut<S>(S);
+
+impl<S: Strategy> Strategy for AfterCut<S> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn run(&mut self, ctx: &mut SearchCtx<'_, '_, '_>) -> Result<(), SynthesisError> {
+        while !ctx.exhausted() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.0.run(ctx)
+    }
+}
+
+/// A deadline-cut run (the nondeterministic cut the serving layer produces)
+/// reports a cancelled run and resumes bit-identically.
 #[test]
 fn wall_clock_cut_resumes_bit_identically() {
-    let system = small_system(7);
+    let system = Arc::new(small_system(7));
     let analysis = AnalysisParams::default();
     let params = quick_sa(3);
 
-    // A zero deadline exhausts at the first poll — after the start
-    // incumbent, so the partial report is resumable.
-    let partial = Synthesis::builder(&system)
-        .analysis(analysis)
-        .strategy(Sa::schedule(params))
-        .budget(Budget::wall_clock(Duration::ZERO))
-        .run()
-        .expect("the start incumbent is recorded before the first poll");
+    // A zero deadline fires as soon as the attempt starts; SAS sees it at
+    // its first poll — after the start incumbent, so the partial report is
+    // resumable.
+    let cut = JobSpec::new(
+        "cut",
+        Arc::clone(&system),
+        analysis,
+        AfterCut(Sa::schedule(params)),
+    )
+    .deadline(Duration::ZERO);
+    let partial = match run_batch(vec![cut]).remove(0).outcome {
+        JobOutcome::TimedOut {
+            partial: Some(partial),
+        } => partial,
+        other => panic!("expected TimedOut with a partial, got {}", other.kind()),
+    };
     assert!(partial.exhausted);
-    assert_eq!(partial.exhausted_by, Some(BudgetAxis::WallClock));
+    assert_eq!(partial.exhausted_by, Some(BudgetAxis::Cancelled));
 
     let full = Synthesis::builder(&system)
         .analysis(analysis)
@@ -229,11 +255,10 @@ fn wall_clock_cut_resumes_bit_identically() {
         .resume_from(&partial)
         .run()
         .expect("the continuation reproduces the checkpoint");
-    assert_bit_identical("SAS/wall-clock", &resumed, &full);
+    assert_bit_identical("SAS/deadline", &resumed, &full);
 }
 
-/// The two budget axes report distinctly, and `evals_and_time` exhausts on
-/// whichever fires first.
+/// The evaluation budget and a cancelled token report distinctly.
 #[test]
 fn exhausted_axis_is_reported() {
     let system = small_system(11);
@@ -248,14 +273,17 @@ fn exhausted_axis_is_reported() {
     assert!(by_evals.exhausted);
     assert_eq!(by_evals.exhausted_by, Some(BudgetAxis::Evaluations));
 
-    let by_time = Synthesis::builder(&system)
+    let token = CancelToken::new();
+    token.cancel();
+    let by_token = Synthesis::builder(&system)
         .analysis(analysis)
         .strategy(Sa::schedule(quick_sa(0)))
-        .budget(Budget::evals_and_time(1_000_000, Duration::ZERO))
+        .budget(Budget::evals(1_000_000))
+        .cancel(token)
         .run()
         .expect("analyzable");
-    assert!(by_time.exhausted);
-    assert_eq!(by_time.exhausted_by, Some(BudgetAxis::WallClock));
+    assert!(by_token.exhausted);
+    assert_eq!(by_token.exhausted_by, Some(BudgetAxis::Cancelled));
 
     let natural = Synthesis::builder(&system)
         .analysis(analysis)
@@ -265,10 +293,6 @@ fn exhausted_axis_is_reported() {
     assert!(!natural.exhausted);
     assert_eq!(natural.exhausted_by, None);
 
-    // Tightening keeps the minimum of stacked wall-clock limits.
-    let budget = Budget::evals(10)
-        .with_wall_clock(Duration::from_secs(60))
-        .with_wall_clock(Duration::from_secs(30));
-    assert_eq!(budget.max_evaluations(), Some(10));
-    assert_eq!(budget.max_duration(), Some(Duration::from_secs(30)));
+    assert_eq!(Budget::evals(10).max_evaluations(), Some(10));
+    assert_eq!(Budget::UNLIMITED.max_evaluations(), None);
 }

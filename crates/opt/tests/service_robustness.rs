@@ -1,7 +1,7 @@
 //! Robustness suite for the `mcs::serve` streaming service: panic
 //! isolation, retry with backoff, wall-clock deadlines, priority
-//! preemption with bit-identical resume, bounded-queue backpressure, and
-//! graceful drain/shutdown.
+//! preemption with bit-identical resume, bounded-queue backpressure,
+//! graceful drain/shutdown, and picking a batch's winner.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -13,8 +13,9 @@ use mcs_gen::{generate, GeneratorParams};
 use mcs_model::System;
 use mcs_opt::synthesis::{SearchCtx, Strategy, SynthesisError};
 use mcs_opt::{
-    Budget, CancelCause, JobOutcome, JobSpec, MoveSampler, RetryPolicy, Sa, SaParams,
-    ServiceConfig, Sf, SubmitError, Synthesis, SynthesisReport, SynthesisService,
+    best_record, run_batch, Budget, BudgetAxis, CancelCause, JobOutcome, JobSpec, MoveSampler,
+    Objective, Os, OsParams, RetryPolicy, Sa, SaParams, ServiceConfig, Sf, SubmitError, Synthesis,
+    SynthesisReport, SynthesisService,
 };
 
 use rand::rngs::StdRng;
@@ -240,6 +241,83 @@ fn retries_are_bounded() {
     assert!(matches!(records[0].outcome, JobOutcome::Panicked { .. }));
 }
 
+/// Submits a job that panics once and then would complete, with a long
+/// retry backoff, and waits until its first attempt has panicked and the
+/// backoff is under way.
+fn job_in_backoff(service: &SynthesisService, runs: &Arc<AtomicU32>) -> mcs_opt::JobId {
+    let system = Arc::new(small_system(2));
+    let id = service
+        .try_submit(
+            spec(
+                "flaky",
+                &system,
+                Flaky {
+                    failures: 1,
+                    runs: Arc::clone(runs),
+                },
+            )
+            .retry(RetryPolicy {
+                max_retries: 1,
+                backoff: Duration::from_millis(400),
+            }),
+        )
+        .unwrap();
+    while runs.load(Ordering::SeqCst) == 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+    thread::sleep(Duration::from_millis(50));
+    id
+}
+
+#[test]
+fn cancel_during_retry_backoff_stops_the_job() {
+    let service = SynthesisService::start(one_worker());
+    let runs = Arc::new(AtomicU32::new(0));
+    let id = job_in_backoff(&service, &runs);
+    assert!(service.cancel(id), "a job in backoff is still running");
+    let records = service.shutdown();
+    assert_eq!(records.len(), 1);
+    assert_eq!(records[0].attempts, 1);
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "no retry after the cancel");
+    assert!(
+        matches!(
+            records[0].outcome,
+            JobOutcome::Cancelled {
+                partial: None,
+                cause: CancelCause::Explicit,
+            }
+        ),
+        "expected Cancelled without partial, got {}",
+        records[0].outcome.kind()
+    );
+}
+
+#[test]
+fn immediate_shutdown_reaches_a_job_in_retry_backoff() {
+    let service = SynthesisService::start(one_worker());
+    let runs = Arc::new(AtomicU32::new(0));
+    job_in_backoff(&service, &runs);
+    let records = service.shutdown_now();
+    assert_eq!(records.len(), 1);
+    assert_eq!(records[0].attempts, 1);
+    assert_eq!(
+        runs.load(Ordering::SeqCst),
+        1,
+        "no retry after the shutdown"
+    );
+    assert!(
+        matches!(
+            records[0].outcome,
+            JobOutcome::Cancelled {
+                partial: None,
+                cause: CancelCause::Shutdown,
+            }
+        ),
+        "expected Cancelled without partial, got {}",
+        records[0].outcome.kind()
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines
 // ---------------------------------------------------------------------------
@@ -270,8 +348,8 @@ fn deadline_times_out_with_a_partial_report() {
         } => {
             assert_eq!(
                 report.exhausted_by,
-                Some(mcs_opt::BudgetAxis::WallClock),
-                "the partial report must name the wall-clock axis"
+                Some(BudgetAxis::Cancelled),
+                "the deadline stops the run through its cancel token"
             );
             assert!(report.exhausted);
         }
@@ -279,7 +357,7 @@ fn deadline_times_out_with_a_partial_report() {
     }
     let line = records[0].json_line();
     assert!(line.contains("\"outcome\": \"timed_out\""), "{line}");
-    assert!(line.contains("\"exhausted_by\": \"wall_clock\""), "{line}");
+    assert!(line.contains("\"exhausted_by\": \"cancelled\""), "{line}");
 }
 
 #[test]
@@ -296,6 +374,49 @@ fn deadline_without_incumbent_times_out_without_partial() {
         "expected TimedOut without partial, got {}",
         records[0].outcome.kind()
     );
+}
+
+#[test]
+fn deadline_fires_inside_a_resume_replay() {
+    let system = Arc::new(small_system(3));
+    let sleepy = || SleepySearch {
+        seed: 5,
+        iterations: 300,
+        pause: Duration::from_millis(2),
+    };
+    let checkpoint = Synthesis::builder(&system)
+        .strategy(sleepy())
+        .budget(Budget::evals(60))
+        .run()
+        .expect("analyzable");
+    assert_eq!(checkpoint.exhausted_by, Some(BudgetAxis::Evaluations));
+
+    // Replaying 60 evaluations sleeps well past the deadline, and the
+    // replay emits no events, so only the service's own timer can stop it.
+    let service = SynthesisService::start(one_worker());
+    service
+        .try_submit(
+            spec("resumed", &system, sleepy())
+                .resume_from(checkpoint.clone())
+                .deadline(Duration::from_millis(30)),
+        )
+        .unwrap();
+    let records = service.shutdown();
+    assert_eq!(records.len(), 1);
+    match &records[0].outcome {
+        JobOutcome::TimedOut {
+            partial: Some(report),
+        } => {
+            assert!(
+                report.evaluations < checkpoint.evaluations,
+                "cut at {} evaluations, inside the {}-evaluation replay",
+                report.evaluations,
+                checkpoint.evaluations
+            );
+            assert_eq!(report.exhausted_by, Some(BudgetAxis::Cancelled));
+        }
+        other => panic!("expected TimedOut with partial, got {}", other.kind()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -565,4 +686,60 @@ fn experiment_runner_reports_structured_failures_instead_of_aborting() {
         "the poisoned job fails structurally without sinking the batch"
     );
     assert!(matches!(records[2].outcome, JobOutcome::Completed(_)));
+}
+
+// ---------------------------------------------------------------------------
+// Picking a batch's winner
+// ---------------------------------------------------------------------------
+
+fn quick_sa(seed: u64) -> Sa<'static> {
+    Sa::schedule(SaParams {
+        iterations: 40,
+        seed,
+        ..SaParams::default()
+    })
+}
+
+#[test]
+fn best_record_skips_records_without_a_report() {
+    let system = Arc::new(small_system(8));
+    let records = run_batch(vec![
+        spec("boom", &system, Panicking),
+        spec("sf", &system, Sf),
+    ]);
+    let winner = best_record(&records, Objective::Schedule).expect("the SF job has a report");
+    assert_eq!(winner.name, "sf");
+    assert!(best_record(&records[..1], Objective::Schedule).is_none());
+}
+
+#[test]
+fn best_record_breaks_cost_ties_toward_the_lowest_id() {
+    let system = Arc::new(small_system(8));
+    let records = run_batch(vec![spec("sf/0", &system, Sf), spec("sf/1", &system, Sf)]);
+    for objective in [Objective::Schedule, Objective::Resources] {
+        let winner = best_record(&records, objective).expect("both jobs have reports");
+        assert_eq!(winner.id, records[0].id, "equal costs go to the lowest id");
+    }
+}
+
+#[test]
+fn best_record_winner_is_deterministic_across_runs() {
+    let system = Arc::new(generate(&GeneratorParams::paper_sized(2, 23)));
+    let run = || {
+        run_batch(vec![
+            spec("sf", &system, Sf),
+            spec("sas-0", &system, quick_sa(0)),
+            spec("sas-1", &system, quick_sa(1)),
+            spec("os", &system, Os::new(OsParams::default())),
+        ])
+    };
+    let a = run();
+    let b = run();
+    assert_eq!(a.len(), 4);
+    let winner_a = best_record(&a, Objective::Schedule).expect("one job succeeds");
+    let winner_b = best_record(&b, Objective::Schedule).expect("one job succeeds");
+    assert_eq!(winner_a.id, winner_b.id);
+    assert_eq!(winner_a.name, winner_b.name);
+    let summary = |record: &mcs_opt::JobRecord| record.outcome.report().map(|r| r.summary());
+    assert_eq!(summary(winner_a), summary(winner_b));
 }

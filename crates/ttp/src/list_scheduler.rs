@@ -107,29 +107,6 @@ pub struct DenseSchedulerInput<'a> {
 /// Returns [`ScheduleError`] if the TDMA configuration cannot carry the
 /// traffic (missing slot, oversized message, empty round).
 pub fn list_schedule(input: &SchedulerInput<'_>) -> Result<TtcSchedule, ScheduleError> {
-    let mut priorities = Vec::new();
-    critical_path_priorities_into(input.system, input.tdma, &mut priorities);
-    let mut schedule = TtcSchedule::new();
-    list_schedule_into(input, &priorities, &mut schedule)?;
-    Ok(schedule)
-}
-
-/// Reusable form of [`list_schedule`]: clears and refills `schedule` in
-/// place (keeping its allocations) and takes the critical-path priorities as
-/// an input so a caller iterating schedule ↔ analysis fixed points computes
-/// them once per TDMA configuration instead of once per pass.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if the TDMA configuration cannot carry the
-/// traffic (missing slot, oversized message, empty round). On error the
-/// schedule contents are unspecified (partially filled); callers must treat
-/// it as garbage until the next successful pass.
-pub fn list_schedule_into(
-    input: &SchedulerInput<'_>,
-    priorities: &[Time],
-    schedule: &mut TtcSchedule,
-) -> Result<(), ScheduleError> {
     let app = &input.system.application;
     let mut process_releases = vec![None; app.processes().len()];
     for (&p, &t) in input.process_releases {
@@ -139,6 +116,9 @@ pub fn list_schedule_into(
     for (&m, &t) in input.message_releases {
         message_releases[m.index()] = Some(t);
     }
+    let mut priorities = Vec::new();
+    critical_path_priorities_into(input.system, input.tdma, &mut priorities);
+    let mut schedule = TtcSchedule::new();
     list_schedule_dense_into(
         &DenseSchedulerInput {
             system: input.system,
@@ -146,14 +126,19 @@ pub fn list_schedule_into(
             process_releases: &process_releases,
             message_releases: &message_releases,
         },
-        priorities,
-        schedule,
-    )
+        &priorities,
+        &mut schedule,
+    )?;
+    Ok(schedule)
 }
 
-/// [`list_schedule_into`] over a [`DenseSchedulerInput`]: the allocation-free
-/// scheduling entry point of the reusable analysis context (release bounds
-/// are read by index, no hash map is flattened per pass).
+/// Reusable form of [`list_schedule`] over a [`DenseSchedulerInput`]: the
+/// allocation-free scheduling entry point of the reusable analysis context.
+/// It clears and refills `schedule` in place (keeping its allocations),
+/// reads release bounds by index (no hash map is flattened per pass), and
+/// takes the critical-path priorities as an input so a caller iterating
+/// schedule ↔ analysis fixed points computes them once per TDMA
+/// configuration instead of once per pass.
 ///
 /// # Errors
 ///

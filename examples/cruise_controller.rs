@@ -1,8 +1,10 @@
 //! The paper's real-life example: synthesize the vehicle cruise controller
-//! (40 processes, deadline 250 ms) with a portfolio of the straightforward
-//! baseline and the OS heuristic, and compare.
+//! (40 processes, deadline 250 ms) with the straightforward baseline and
+//! the OS heuristic as one batch, and compare.
 //!
 //! Run with `cargo run --release --example cruise_controller`.
+
+use std::sync::Arc;
 
 use mcs::prelude::*;
 
@@ -19,18 +21,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         deadline
     );
 
-    // Both strategies run in parallel; the winner is the best δΓ.
-    let portfolio = Portfolio::builder(&cc.system)
-        .analysis(AnalysisParams::default())
-        .selection(Selection::BestCost(Objective::Schedule))
-        .add("SF", Sf)
-        .add("OS", Os::new(OsParams::default()))
-        .run();
+    // Both strategies run as one batch; the winner is the best δΓ.
+    let system = Arc::new(cc.system);
+    let analysis = AnalysisParams::default();
+    let records = run_batch(vec![
+        JobSpec::new("cruise", Arc::clone(&system), analysis, Sf),
+        JobSpec::new(
+            "cruise",
+            Arc::clone(&system),
+            analysis,
+            Os::new(OsParams::default()),
+        ),
+    ]);
 
-    for (label, report) in &portfolio.reports {
-        let report = report.as_ref().expect("cruise controller is analyzable");
+    for record in &records {
+        let report = record
+            .outcome
+            .report()
+            .expect("cruise controller is analyzable");
         println!(
-            "{label}: response {:>8}  -> {}",
+            "{}: response {:>8}  -> {}",
+            record.strategy,
             report.best.outcome.graph_response(graph).to_string(),
             if report.best.is_schedulable() {
                 "meets the deadline"
@@ -40,23 +51,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let (winner, best) = portfolio.winner_report().expect("both entries succeed");
+    let winner = best_record(&records, Objective::Schedule).expect("both jobs succeed");
+    let best = &winner
+        .outcome
+        .report()
+        .expect("the winner has a report")
+        .best;
     println!();
-    println!("synthesized TDMA round ({winner}):");
-    for (i, slot) in best.best.config.tdma.slots().iter().enumerate() {
+    println!("synthesized TDMA round ({}):", winner.strategy);
+    for (i, slot) in best.config.tdma.slots().iter().enumerate() {
         println!(
             "  slot {} -> {} ({} bytes)",
             i,
-            cc.system.architecture.node(slot.node).name(),
+            system.architecture.node(slot.node).name(),
             slot.capacity_bytes
         );
     }
     println!();
     println!(
-        "buffer bounds ({winner}): Out_CAN {} B, Out_TTP {} B, total {} B",
-        best.best.outcome.queues.out_can,
-        best.best.outcome.queues.out_ttp,
-        best.best.outcome.queues.total()
+        "buffer bounds ({}): Out_CAN {} B, Out_TTP {} B, total {} B",
+        winner.strategy,
+        best.outcome.queues.out_can,
+        best.outcome.queues.out_ttp,
+        best.outcome.queues.total()
     );
     Ok(())
 }

@@ -22,14 +22,15 @@
 //!   cruise controller).
 //!
 //! [`synth`] is the synthesis front door: a [`Strategy`](synth::Strategy)-
-//! driven [`Synthesis`](synth::Synthesis) driver plus
-//! [`Portfolio`](synth::Portfolio) runs with deterministic winner selection.
+//! driven [`Synthesis`](synth::Synthesis) builder that runs one search.
 //! [`serve`] is the resilient streaming service on top — bounded submission
 //! queue, per-job deadlines and priorities with preemption, panic isolation
 //! with retry, and resumable jobs
 //! ([`SynthesisService`](serve::SynthesisService)) — and serves static
-//! batches of jobs through [`run_batch`](serve::run_batch). The
-//! [`prelude`] pulls in the handful of types almost every program needs.
+//! batches of jobs through [`run_batch`](serve::run_batch); a batch of
+//! strategies on one instance picks its winner with
+//! [`best_record`](serve::best_record). The [`prelude`] pulls in the
+//! handful of types almost every program needs.
 //!
 //! # Examples
 //!
@@ -95,8 +96,8 @@ pub mod prelude {
         System, SystemConfig, TdmaConfig, TdmaSlot, Time,
     };
     pub use mcs_opt::{
-        run_batch, Budget, BudgetAxis, Evaluation, Hopa, JobOutcome, JobRecord, JobSpec, Objective,
-        Observer, Or, OrParams, Os, OsParams, Portfolio, Sa, SaParams, SearchEvent, Selection,
+        best_record, run_batch, Budget, BudgetAxis, Evaluation, Hopa, JobOutcome, JobRecord,
+        JobSpec, Objective, Observer, Or, OrParams, Os, OsParams, Sa, SaParams, SearchEvent,
         ServiceConfig, Sf, Strategy, Synthesis, SynthesisReport, SynthesisService,
     };
 }

@@ -2,6 +2,8 @@
 //! across the full crate stack, driven through the `mcs::prelude` and the
 //! `Synthesis` front door.
 
+use std::sync::Arc;
+
 use mcs::core::degree_of_schedulability;
 use mcs::prelude::*;
 use mcs::sim::{simulate, SimParams};
@@ -112,24 +114,32 @@ fn deterministic_pipeline_results_across_runs() {
 
 #[test]
 fn portfolio_serves_the_whole_heuristic_family() {
-    // The front door runs the paper's strategy family on one instance; the
-    // resource-best entry must be schedulable, and OR dominates OS on the
+    // One batch runs the paper's strategy family on one instance; the
+    // resource-best record must be schedulable, and OR dominates OS on the
     // buffer axis by construction.
-    let system = generate(&GeneratorParams::paper_sized(2, 3));
-    let portfolio = Portfolio::builder(&system)
-        .analysis(AnalysisParams::default())
-        .selection(Selection::BestCost(Objective::Resources))
-        .add("SF", Sf)
-        .add("HOPA", Hopa)
-        .add("OS", Os::new(OsParams::default()))
-        .add("OR", Or::new(OrParams::default()))
-        .run();
-    assert_eq!(portfolio.reports.len(), 4);
-    let (_, winner) = portfolio.winner_report().expect("all entries succeed");
+    let system = Arc::new(generate(&GeneratorParams::paper_sized(2, 3)));
+    let job = |strategy: Box<dyn Strategy>| {
+        JobSpec::new(
+            "paper_sized(2, 3)",
+            Arc::clone(&system),
+            AnalysisParams::default(),
+            strategy,
+        )
+    };
+    let records = run_batch(vec![
+        job(Box::new(Sf)),
+        job(Box::new(Hopa)),
+        job(Box::new(Os::new(OsParams::default()))),
+        job(Box::new(Or::new(OrParams::default()))),
+    ]);
+    assert_eq!(records.len(), 4);
+    let winner = best_record(&records, Objective::Resources)
+        .and_then(|record| record.outcome.report())
+        .expect("all entries succeed");
     assert!(winner.best.is_schedulable());
     // OR dominates OS by construction, so the winner's buffer need equals
-    // the OR entry's (OS wins outright ties by insertion order).
-    let or_report = portfolio.reports[3].1.as_ref().expect("OR succeeds");
+    // the OR entry's (OS wins outright ties by submission order).
+    let or_report = records[3].outcome.report().expect("OR succeeds");
     assert_eq!(winner.best.total_buffers, or_report.best.total_buffers);
 }
 
