@@ -3,7 +3,7 @@
 //! [`mcs_bench::seed_baseline::seed_evaluate`] bit-for-bit after every move
 //! — the seed path rebuilds everything from nothing per call, so agreement
 //! here transitively anchors the whole delta machinery (snapshots, dirty
-//! cones, schedule diffs, queue-bound memos) to the original algorithm.
+//! cones, schedule diffs) to the original algorithm.
 
 use mcs_bench::seed_baseline::seed_evaluate;
 use mcs_core::{AnalysisParams, DeltaSeeds, Evaluator};

@@ -31,6 +31,5 @@ pub use frame::{
 };
 pub use rta::{
     blocking_bound, queue_size_bound, queuing_delay, queuing_delay_from, queuing_delay_sorted,
-    queuing_delays, queuing_delays_filtered, queuing_delays_into, relative_offset, sound_phase,
-    CanFlow,
+    queuing_delays, sound_phase, CanFlow,
 };

@@ -47,31 +47,6 @@ pub struct CanFlow {
     pub response: Time,
 }
 
-/// The relative offset `O_mj` of flow `j` with respect to flow `m`.
-///
-/// Flows of the same transaction are phased by their static offsets: the
-/// first activation of `j` that can interfere with `m` is `O_mj` after `m`'s
-/// critical instant, where `O_mj = (O_j − O_m) mod T_j`. Flows of different
-/// transactions have no phase relation (`O_mj = 0`, the critical-instant
-/// worst case).
-pub fn relative_offset(m: &CanFlow, j: &CanFlow) -> Time {
-    match (m.transaction, j.transaction) {
-        (Some(a), Some(b)) if a == b => {
-            if j.offset >= m.offset {
-                (j.offset - m.offset) % j.period
-            } else {
-                let behind = (m.offset - j.offset) % j.period;
-                if behind.is_zero() {
-                    Time::ZERO
-                } else {
-                    j.period - behind
-                }
-            }
-        }
-        _ => Time::ZERO,
-    }
-}
-
 /// Blocking bound `B_m`: the longest lower-priority transmission that can
 /// already occupy the bus (CAN frames are non-preemptive).
 pub fn blocking_bound(flows: &[CanFlow], m: usize) -> Time {
@@ -167,38 +142,9 @@ fn gap_complement(gap: Time, period: Time) -> Time {
 /// utilization is too high for the window to close — the system is
 /// unschedulable and the caller should treat the delay as unbounded).
 pub fn queuing_delays(flows: &[CanFlow], horizon: Time) -> Vec<Option<Time>> {
-    let mut delays = Vec::new();
-    queuing_delays_into(flows, horizon, &mut delays);
-    delays
-}
-
-/// Allocation-free form of [`queuing_delays`]: clears and refills `delays`
-/// in flow order, reusing its capacity.
-pub fn queuing_delays_into(flows: &[CanFlow], horizon: Time, delays: &mut Vec<Option<Time>>) {
-    delays.clear();
-    queuing_delays_filtered(flows, horizon, |_| true, delays);
-}
-
-/// The one batch implementation behind every multi-flow entry point,
-/// parameterized by an entity filter: `delays` is resized to `flows.len()`
-/// (extending with `None`, truncating any stale tail), then the queuing
-/// delay of each flow `m` with `recompute(m)` is recomputed while the
-/// remaining in-range entries keep their previous values. Callers
-/// restricting the filter guarantee — e.g. via a dependency closure — that
-/// no input of a skipped flow changed, so its previous delay is still the
-/// least fixed point.
-pub fn queuing_delays_filtered(
-    flows: &[CanFlow],
-    horizon: Time,
-    mut recompute: impl FnMut(usize) -> bool,
-    delays: &mut Vec<Option<Time>>,
-) {
-    delays.resize(flows.len(), None);
-    for (m, delay) in delays.iter_mut().enumerate() {
-        if recompute(m) {
-            *delay = queuing_delay(flows, m, horizon);
-        }
-    }
+    (0..flows.len())
+        .map(|m| queuing_delay(flows, m, horizon))
+        .collect()
 }
 
 /// Computes the worst-case queuing delay of `flows[m]`.
@@ -380,23 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_offsets_phase_same_transaction_flows() {
-        let mut a = flow(0, 100, 1);
-        let mut b = flow(1, 100, 1);
-        a.transaction = Some(7);
-        b.transaction = Some(7);
-        a.offset = Time::from_millis(10);
-        b.offset = Time::from_millis(30);
-        // b activates 20 ms after a.
-        assert_eq!(relative_offset(&a, &b), Time::from_millis(20));
-        // a's next activation relative to b is 80 ms later (wraps by period).
-        assert_eq!(relative_offset(&b, &a), Time::from_millis(80));
-        // Different transactions: no phasing.
-        b.transaction = Some(8);
-        assert_eq!(relative_offset(&a, &b), Time::ZERO);
-    }
-
-    #[test]
     fn offset_separation_removes_interference() {
         // Same transaction, b activates 50 ms after a; a's queuing window is
         // far shorter than 50 ms, so b never interferes with a... and vice
@@ -440,23 +369,5 @@ mod tests {
     #[test]
     fn queue_size_bound_empty_is_zero() {
         assert_eq!(queue_size_bound(&[], &[], Time::from_millis(1)), 0);
-    }
-
-    #[test]
-    fn filtered_delays_recompute_only_the_selected_flows() {
-        let flows = vec![flow(0, 100, 1), flow(1, 100, 2), flow(2, 100, 3)];
-        let horizon = Time::from_millis(1000);
-        let full = queuing_delays(&flows, horizon);
-        // A poisoned buffer: the filter must leave unselected entries
-        // untouched and resize missing ones with `None`.
-        let poison = Some(Time::from_millis(999));
-        let mut delays = vec![poison];
-        queuing_delays_filtered(&flows, horizon, |m| m != 0, &mut delays);
-        assert_eq!(delays[0], poison);
-        assert_eq!(delays[1], full[1]);
-        assert_eq!(delays[2], full[2]);
-        // Selecting everything reproduces the batch form.
-        queuing_delays_filtered(&flows, horizon, |_| true, &mut delays);
-        assert_eq!(delays, full);
     }
 }

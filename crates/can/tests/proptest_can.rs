@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use mcs_can::{
-    blocking_bound, frame_time, frames_needed, message_time, queuing_delays, sound_phase, CanFlow,
+    blocking_bound, frame_time, frames_needed, message_time, queuing_delay, queuing_delay_sorted,
+    queuing_delays, sound_phase, CanFlow,
 };
 use mcs_model::{CanBusParams, Priority, Time};
 
@@ -76,6 +77,29 @@ proptest! {
                 .map(|f| f.transmission)
                 .fold(Time::ZERO, Time::max);
             prop_assert_eq!(blocking_bound(&flows, m), expected);
+        }
+    }
+
+    /// The sorted kernel the evaluator calls (blocking precomputed, hint 0)
+    /// equals the generic one, and a warm start at that fixed point returns
+    /// it unchanged — with and without a shared transaction.
+    #[test]
+    fn sorted_kernel_matches_generic(
+        mut flows in proptest::collection::vec(arb_flow(1), 1..8),
+        shared in any::<bool>(),
+    ) {
+        for (i, f) in flows.iter_mut().enumerate() {
+            f.priority = Priority::new(i as u32);
+            f.transaction = shared.then_some(0);
+        }
+        let horizon = Time::from_ticks(u64::MAX / 4);
+        for m in 0..flows.len() {
+            let blocking = blocking_bound(&flows, m);
+            let sorted = queuing_delay_sorted(&flows, m, blocking, horizon, Time::ZERO);
+            prop_assert_eq!(sorted, queuing_delay(&flows, m, horizon));
+            if let Some(w) = sorted {
+                prop_assert_eq!(queuing_delay_sorted(&flows, m, blocking, horizon, w), sorted);
+            }
         }
     }
 

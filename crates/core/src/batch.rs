@@ -75,9 +75,9 @@ pub struct BatchRequest {
 /// in-flight candidate, cleared — not reallocated — between batches (see
 /// the module docs above).
 ///
-/// A `BatchScratch` is bound to whatever system the evaluator that uses it
-/// analyzes; passing it to an evaluator of a different system transparently
-/// rebuilds the lanes.
+/// A `BatchScratch` is bound to the system and analysis parameters of the
+/// evaluator that uses it; passing it to an evaluator of a different system
+/// or with different parameters transparently rebuilds the lanes.
 #[derive(Default)]
 pub struct BatchScratch<'s> {
     pub(crate) lanes: Vec<Evaluator<'s>>,

@@ -42,12 +42,8 @@
 //! * an iteration whose release bounds changed is re-scheduled, the new
 //!   schedule is **diffed** against the snapshot's
 //!   ([`TtcSchedule::diff_into`]) and the moved placements join the cone;
-//! * an iteration whose cone contains no release input is skipped outright
-//!   (its derived releases are read straight off the snapshot), with its
-//!   seeds parked on the slot's pending list;
 //! * everything else — structural (TDMA) changes, stale/diverged/unstable
-//!   snapshots, cones past 75% of all analyzed entities — falls back to
-//!   the full fixed point of that iteration.
+//!   snapshots — falls back to the full fixed point of that iteration.
 //!
 //! Results are **bit-identical** to [`Evaluator::evaluate`] by
 //! construction; the equivalence is enforced by property tests in
@@ -157,9 +153,6 @@ pub(crate) struct SystemContext {
     /// Outgoing messages of each ET process whose legs the analysis derives
     /// from the sender's response (ETC→ETC and ETC→TTC routes).
     pub proc_out_et_msgs: Vec<Vec<u32>>,
-    /// Whether the process sources an ET-sent TTP frame: its completion
-    /// bounds the frame's release — an input of the static scheduler.
-    pub proc_feeds_msg_release: Vec<bool>,
     /// Source process index of each message.
     pub msg_src: Vec<u32>,
     /// Position of each ETC→TTC message in the FIFO flow array (by message
@@ -335,10 +328,6 @@ impl SystemContext {
                 }
             }
         }
-        let mut proc_feeds_msg_release = vec![false; proc_is_tt.len()];
-        for &mi in &et_ttp_senders {
-            proc_feeds_msg_release[app.messages()[mi].source().index()] = true;
-        }
         let msg_src: Vec<u32> = app
             .messages()
             .iter()
@@ -407,7 +396,6 @@ impl SystemContext {
             proc_et_node,
             proc_direct_succ,
             proc_out_et_msgs,
-            proc_feeds_msg_release,
             msg_src,
             fifo_pos,
             wl_entities,
@@ -492,10 +480,14 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    /// Allocation-reusing assignment: after the call `self` equals `src`,
-    /// but every vector landed in `self`'s existing buffers. Batch lanes
-    /// use this to mirror the primary evaluator's converged state before
-    /// re-climbing their candidate's divergent tail.
+    /// Allocation-reusing assignment of everything an evaluation reads
+    /// before writing it, into `self`'s existing buffers. Batch lanes use
+    /// this to mirror the primary evaluator's converged state before
+    /// re-climbing their candidate's divergent tail. Per-pass state is
+    /// skipped, because each pass resets it before reading: the dirty set
+    /// (`close_dirty`/`mark_all`), the worklist (`solve`), the kernel input
+    /// arrays (`stage_kernel_inputs`, for every resource the pass visits)
+    /// and the queue-bound buffers (`priority_queue_bound`).
     pub(crate) fn sync_from(&mut self, src: &Scratch) {
         self.po.clone_from(&src.po);
         self.pj.clone_from(&src.pj);
@@ -519,17 +511,7 @@ impl Scratch {
         self.can_blocking.clone_from(&src.can_blocking);
         self.node_order.clone_from(&src.node_order);
         self.node_pos.clone_from(&src.node_pos);
-        self.dirty.sync_from(&src.dirty);
-        self.wl_pending.clone_from(&src.wl_pending);
-        self.wl_next_pending.clone_from(&src.wl_next_pending);
-        self.wl_current.clone_from(&src.wl_current);
-        self.wl_next.clone_from(&src.wl_next);
-        self.can_flows.clone_from(&src.can_flows);
-        self.fifo_flows.clone_from(&src.fifo_flows);
-        self.task_arrays.clone_from(&src.task_arrays);
         self.fifo_warm.clone_from(&src.fifo_warm);
-        self.bound_flows.clone_from(&src.bound_flows);
-        self.bound_delays.clone_from(&src.bound_delays);
         self.proc_release.clone_from(&src.proc_release);
         self.msg_release.clone_from(&src.msg_release);
         self.next_proc_release.clone_from(&src.next_proc_release);
@@ -663,11 +645,6 @@ pub struct Evaluator<'s> {
     /// start / messages whose frame placement moved in the rebuild.
     diff_procs: Vec<ProcessId>,
     diff_msgs: Vec<MessageId>,
-    /// Whether the last prepared configuration differs from the previous
-    /// validated one only by offset pins and/or a per-resource priority
-    /// permutation — the precondition of the delta path's no-op probe (all
-    /// equation changes stay inside the seed position spans).
-    swap_only_change: bool,
     /// Whether any non-structural delta evaluation has been requested:
     /// only then are per-iteration analysis snapshots worth stamping.
     delta_live: bool,
@@ -694,15 +671,6 @@ struct SchedCacheEntry {
     msg_release: Vec<Option<Time>>,
     schedule: TtcSchedule,
     analysis: AnalysisSnapshot,
-    /// Seeds the snapshot is *behind* by: when an intermediate outer
-    /// iteration is skipped (its cone touched no release input, so its only
-    /// product — the derived releases — was read straight off the
-    /// snapshot), the configuration/diff seeds of the skipped evaluation
-    /// accumulate here and join the cone of the next delta evaluation that
-    /// extends this snapshot. Cleared whenever the slot is re-analyzed.
-    pending_seeds: DeltaSeeds,
-    pending_moved_procs: Vec<ProcessId>,
-    pending_moved_msgs: Vec<MessageId>,
 }
 
 impl SchedCacheEntry {
@@ -714,10 +682,6 @@ impl SchedCacheEntry {
         self.msg_release.clone_from(&src.msg_release);
         self.schedule.clone_from(&src.schedule);
         self.analysis.sync_from(&src.analysis);
-        self.pending_seeds.clone_from(&src.pending_seeds);
-        self.pending_moved_procs
-            .clone_from(&src.pending_moved_procs);
-        self.pending_moved_msgs.clone_from(&src.pending_moved_msgs);
     }
 }
 
@@ -845,7 +809,6 @@ impl<'s> Evaluator<'s> {
             sched_tmp: TtcSchedule::new(),
             diff_procs: Vec::new(),
             diff_msgs: Vec::new(),
-            swap_only_change: false,
             delta_live: false,
             delta_evals: 0,
             full_evals: 0,
@@ -889,10 +852,10 @@ impl<'s> Evaluator<'s> {
     /// instead of re-running the full holistic fixed point: a schedule memo
     /// hit extends the snapshot directly, a rebuild diffs the new schedule
     /// against the snapshot's and feeds the moved placements into the cone.
-    /// Iterations whose snapshot is unusable (stale, diverged, unstable),
-    /// whose cone exceeds the frontier bound, or whose restricted passes
-    /// exhaust their budget take the full path of that iteration — so the
-    /// trajectory, and with it every result, is bit-identical either way.
+    /// Iterations whose snapshot is unusable (stale, diverged, unstable) or
+    /// whose restricted passes exhaust their budget take the full path of
+    /// that iteration — so the trajectory, and with it every result, is
+    /// bit-identical either way.
     fn evaluate_inner(
         &mut self,
         config: &SystemConfig,
@@ -916,28 +879,10 @@ impl<'s> Evaluator<'s> {
             &mut self.scratch.msg_release,
         );
 
-        // Frontier bound, in percent of all analyzed entities (processes +
-        // both message legs): a dirty cone past it pays the delta
-        // bookkeeping without saving kernel work, so the iteration takes
-        // the full fixed point instead.
-        const DELTA_FRONTIER_PERCENT: usize = 75;
-        let entity_total = self.ctx.proc_is_tt.len() + 2 * self.ctx.route.len();
-        let cone_limit = entity_total.saturating_mul(DELTA_FRONTIER_PERCENT) / 100;
-
         let mut iterations = 0;
         let mut settled = false;
         let mut holistic_stable = false;
         let mut analyzed: Option<usize> = None;
-        // Whether every analyzed iteration extended the delta baseline —
-        // only then is the final state snapshot-linked to the previous
-        // evaluation's and the per-queue bound memo usable. `extended_slot`
-        // tracks *which* iteration's snapshot the scratch currently
-        // extends: the identical-schedule shortcut leaves the scratch on an
-        // earlier iteration's analysis, which must not pass for the final
-        // one.
-        let base_final_slot = self.last_sched_slot;
-        let mut cone_covers_all = delta_seeds.is_some();
-        let mut extended_slot: Option<usize> = None;
         while iterations < self.params.max_outer_iterations {
             let slot = iterations as usize;
             iterations += 1;
@@ -1000,150 +945,50 @@ impl<'s> Evaluator<'s> {
                 .map(|prev| self.sched_cache[prev].schedule == self.sched_cache[slot].schedule)
                 .unwrap_or(false);
             self.last_sched_slot = slot;
-            let mut skipped = false;
             if !same_schedule {
                 // Delta baseline: a snapshot stamped by the immediately
                 // preceding successful evaluation, converged and stable —
-                // exactly the state the dirty cone (joined with whatever
-                // the snapshot is pending behind) is a diff against.
-                let baseline = delta_seeds.is_some() && {
+                // exactly the state the dirty cone is a diff against.
+                let baseline = delta_seeds.filter(|_| {
                     let snap = &self.sched_cache[slot].analysis;
                     snap.run == base_run && snap.stable && !snap.diverged
-                };
+                });
                 let mut ran_delta = false;
-                if baseline {
-                    let entry = &self.sched_cache[slot];
-                    let cone = close_dirty(
+                if let Some(seeds) = baseline {
+                    close_dirty(
                         &self.ctx,
                         &mut self.scratch,
-                        &[
-                            // mcs-lint: allow(panic-policy) -- `baseline` is only true when delta_seeds.is_some() (checked where it is computed)
-                            delta_seeds.expect("baseline implies delta seeds"),
-                            &entry.pending_seeds,
-                        ],
-                        &[
-                            (&self.diff_procs, &self.diff_msgs),
-                            (&entry.pending_moved_procs, &entry.pending_moved_msgs),
-                        ],
+                        seeds,
+                        &self.diff_procs,
+                        &self.diff_msgs,
                     );
-                    // The no-op probe additionally needs the change to be a
-                    // per-resource priority permutation (see
-                    // `swap_only_change`).
-                    self.scratch.dirty.probe_ok &= self.swap_only_change;
-                    if cone.entities <= cone_limit {
-                        if !cone.feeders && iterations < self.params.max_outer_iterations {
-                            // The cone contains no release input, so this
-                            // iteration's only product — the derived
-                            // release bounds — reads straight off the
-                            // snapshot. Unless the loop settles here (then
-                            // the final timing state is actually needed),
-                            // the whole re-analysis of this iteration is
-                            // skipped; its seeds go on the slot's pending
-                            // list so the next evaluation's cone still
-                            // covers the distance to the snapshot.
-                            {
-                                let snap = &self.sched_cache[slot].analysis;
-                                derive_releases_into(
-                                    system,
-                                    &self.ctx,
-                                    config,
-                                    (&snap.arrival, &snap.po, &snap.pr),
-                                    &mut self.scratch.next_proc_release,
-                                    &mut self.scratch.next_msg_release,
-                                );
-                            }
-                            let s = &self.scratch;
-                            let will_settle = s.next_proc_release == s.proc_release
-                                && s.next_msg_release == s.msg_release;
-                            if !will_settle {
-                                // mcs-lint: allow(panic-policy) -- `baseline` is only true when delta_seeds.is_some() (checked where it is computed)
-                                let seeds = delta_seeds.expect("baseline implies delta seeds");
-                                let entry = &mut self.sched_cache[slot];
-                                entry.pending_seeds.merge(seeds);
-                                entry
-                                    .pending_moved_procs
-                                    .extend_from_slice(&self.diff_procs);
-                                entry.pending_moved_msgs.extend_from_slice(&self.diff_msgs);
-                                let backlog = entry.pending_seeds.processes().len()
-                                    + entry.pending_seeds.messages().len()
-                                    + entry.pending_moved_procs.len()
-                                    + entry.pending_moved_msgs.len();
-                                // Unbounded pending growth (a slot skipped
-                                // for thousands of evaluations) would make
-                                // the closure re-chew an ever-longer seed
-                                // list; past a generous bound, retire the
-                                // snapshot instead — the next evaluation
-                                // re-analyzes the slot and starts afresh.
-                                entry.analysis.run =
-                                    if backlog > 4 * entity_total { 0 } else { run };
-                                skipped = true;
-                                self.delta_evals += 1;
-                            }
-                            // On `will_settle` this is the final iteration:
-                            // fall through and materialize its analysis.
-                        }
-                        if !skipped {
-                            self.sched_cache[slot].analysis.load(&mut self.scratch);
-                            ran_delta = Holistic {
-                                ctx: &self.ctx,
-                                system,
-                                schedule: &self.sched_cache[slot].schedule,
-                                ttp_queue,
-                                grid_slack,
-                                horizon: self.ctx.horizon,
-                                max_iterations: self.params.max_holistic_iterations,
-                                fifo_bound: self.params.fifo_bound,
-                                s: &mut self.scratch,
-                            }
-                            .run_delta();
-                            // An exhausted pass budget leaves the scratch
-                            // mid-climb: the full pass below resets and
-                            // re-derives it exactly.
-                        }
-                    }
+                    self.sched_cache[slot].analysis.load(&mut self.scratch);
+                    // An exhausted pass budget leaves the scratch mid-climb:
+                    // the full pass below resets and re-derives it exactly.
+                    ran_delta = self.holistic(ttp_queue, grid_slack).run_delta();
                 }
-                if skipped {
-                    // Nothing analyzed: the scratch still holds whatever
-                    // iteration was analyzed last.
-                } else if ran_delta {
+                if ran_delta {
                     holistic_stable = true;
-                    extended_slot = Some(slot);
                     self.delta_evals += 1;
                 } else {
                     self.full_evals += 1;
-                    cone_covers_all = false;
-                    holistic_stable = Holistic {
-                        ctx: &self.ctx,
-                        system,
-                        schedule: &self.sched_cache[slot].schedule,
-                        ttp_queue,
-                        grid_slack,
-                        horizon: self.ctx.horizon,
-                        max_iterations: self.params.max_holistic_iterations,
-                        fifo_bound: self.params.fifo_bound,
-                        s: &mut self.scratch,
-                    }
-                    .run();
+                    holistic_stable = self.holistic(ttp_queue, grid_slack).run();
                 }
             }
-            if !skipped {
-                analyzed = Some(slot);
-                // Snapshots are only consumed by delta evaluations, so pure
-                // full-path consumers (one-shot analyses, the structural OS
-                // search) skip the copies; once a search has made one
-                // non-structural delta call, every evaluation — including
-                // interleaved structural moves and full rematerializations —
-                // keeps stamping fresh baselines for the next delta call.
-                if delta_seeds.is_some() || self.delta_live {
-                    let entry = &mut self.sched_cache[slot];
-                    entry.analysis.save(&self.scratch, run, holistic_stable);
-                    entry.pending_seeds.clear();
-                    entry.pending_moved_procs.clear();
-                    entry.pending_moved_msgs.clear();
-                }
-                // Re-derive the release lower bounds from the analysis.
-                self.derive_releases(config);
+            analyzed = Some(slot);
+            // Snapshots are only consumed by delta evaluations, so pure
+            // full-path consumers (one-shot analyses, the structural OS
+            // search) skip the copies; once a search has made one
+            // non-structural delta call, every evaluation — including
+            // interleaved structural moves and full rematerializations —
+            // keeps stamping fresh baselines for the next delta call.
+            if delta_seeds.is_some() || self.delta_live {
+                self.sched_cache[slot]
+                    .analysis
+                    .save(&self.scratch, run, holistic_stable);
             }
+            // Re-derive the release lower bounds from the analysis.
+            self.derive_releases(config);
             let s = &mut self.scratch;
             let done = s.next_proc_release == s.proc_release && s.next_msg_release == s.msg_release;
             std::mem::swap(&mut s.proc_release, &mut s.next_proc_release);
@@ -1154,13 +999,8 @@ impl<'s> Evaluator<'s> {
             }
         }
 
-        // Queue bounds are needed only for the final analysis state. When
-        // the whole trajectory extended the previous evaluation's snapshots
-        // and the final state extends the snapshot the cached bounds were
-        // computed from, queues without a dirty member provably kept their
-        // bounds.
-        let queue_delta = cone_covers_all && extended_slot == Some(base_final_slot);
-        self.finish_queue_bounds(ttp_queue, grid_slack, queue_delta);
+        // Queue bounds are needed only for the final analysis state.
+        self.holistic(ttp_queue, grid_slack).queue_bounds();
         self.last_settled = settled;
         self.last_holistic_stable = holistic_stable;
         let summary = self.summarize(settled, iterations);
@@ -1196,10 +1036,11 @@ impl<'s> Evaluator<'s> {
     ///   against them, reaching the same least fixed point in a fraction of
     ///   the kernel work;
     /// * an iteration whose release bounds changed (the cone touched a FIFO
-    ///   arrival or an ET-sent frame's release), whose snapshot is missing,
-    ///   diverged or unstable, or whose restricted passes exhaust their
-    ///   budget is re-scheduled and re-analyzed in full — from that point
-    ///   the replay *is* the full evaluation.
+    ///   arrival or an ET-sent frame's release) is re-scheduled, and the
+    ///   placements the new schedule moved join the cone;
+    /// * an iteration whose snapshot is missing, diverged or unstable, or
+    ///   whose restricted passes exhaust their budget, is re-analyzed in
+    ///   full — from that point the replay *is* the full evaluation.
     ///
     /// The call transparently takes the full path outright for structural
     /// seeds (TDMA changes — they alter the FIFO drain parameters every
@@ -1243,7 +1084,7 @@ impl<'s> Evaluator<'s> {
     /// `sched_tmp`/`diff_procs`/`diff_msgs` are skipped — they are
     /// overwritten before every read.)
     fn clone_state_from(&mut self, src: &Evaluator<'s>) {
-        debug_assert!(std::ptr::eq(self.system, src.system));
+        debug_assert!(std::ptr::eq(self.system, src.system) && self.params == src.params);
         while self.sched_cache.len() < src.sched_cache.len() {
             self.sched_cache.push(SchedCacheEntry::default());
         }
@@ -1271,7 +1112,6 @@ impl<'s> Evaluator<'s> {
             (Some(dst), Some(src_cfg)) => dst.clone_from(src_cfg),
             (dst, src_cfg) => *dst = src_cfg.clone(),
         }
-        self.swap_only_change = src.swap_only_change;
         self.delta_live = src.delta_live;
         self.delta_evals = src.delta_evals;
         self.full_evals = src.full_evals;
@@ -1308,12 +1148,12 @@ impl<'s> Evaluator<'s> {
         if requests.is_empty() {
             return Vec::new();
         }
-        // A scratch carried over from another system: rebuild the lanes.
-        if scratch
-            .lanes
-            .first()
-            .is_some_and(|lane| !std::ptr::eq(lane.system, self.system))
-        {
+        // A scratch carried over from another system, or from an evaluator
+        // with other analysis parameters (the context's horizon depends on
+        // them): rebuild the lanes.
+        if scratch.lanes.first().is_some_and(|lane| {
+            !std::ptr::eq(lane.system, self.system) || lane.params != self.params
+        }) {
             scratch.lanes.clear();
         }
         while scratch.lanes.len() < requests.len() {
@@ -1396,17 +1236,14 @@ impl<'s> Evaluator<'s> {
         let config_changed =
             !self.last_validated_ok || self.last_validated.as_ref() != Some(config);
         if !config_changed {
-            self.swap_only_change = true;
             return Ok(());
         }
-        self.swap_only_change = false;
         // Pins-only change: validation never reads the offset pins, and
         // every configuration-derived table depends on β and π only — an
         // unchanged TDMA round + priority assignment keeps both.
         if self.last_validated_ok {
             if let Some(prev) = &self.last_validated {
                 if prev.tdma == config.tdma && prev.priorities == config.priorities {
-                    self.swap_only_change = true;
                     match &mut self.last_validated {
                         Some(previous) => previous.clone_from(config),
                         slot => *slot = Some(config.clone()),
@@ -1430,7 +1267,6 @@ impl<'s> Evaluator<'s> {
                 })
                 .unwrap_or(false);
         self.last_validated_ok = false;
-        self.swap_only_change = skip_validation;
         if !skip_validation {
             validate_config(self.system, config)?;
         }
@@ -1569,22 +1405,35 @@ impl<'s> Evaluator<'s> {
     /// Re-derives the release lower bounds of the static scheduler from the
     /// current analysis state, into the `next_*` tables.
     fn derive_releases(&mut self, config: &SystemConfig) {
-        let system = self.system;
         let ctx = &self.ctx;
         let s = &mut self.scratch;
-        derive_releases_into(
-            system,
-            ctx,
+        seed_pins(
+            self.system,
             config,
-            (&s.arrival, &s.po, &s.pr),
             &mut s.next_proc_release,
             &mut s.next_msg_release,
         );
+        for &mi in &ctx.fifo_ids {
+            // Destination TT process must not start before the worst-case
+            // arrival through Out_TTP.
+            let bound = s.arrival[mi].min(ctx.horizon);
+            let entry = &mut s.next_proc_release[ctx.msg_dest[mi] as usize];
+            *entry = Some(entry.unwrap_or(Time::ZERO).max(bound));
+        }
+        for &mi in &ctx.et_ttp_senders {
+            // TTP frames whose sender runs under priorities (gateway CPU): the
+            // frame cannot leave before the sender's worst-case completion.
+            let sender = ctx.msg_src[mi] as usize;
+            let done = s.po[sender].saturating_add(s.pr[sender]).min(ctx.horizon);
+            let entry = &mut s.next_msg_release[mi];
+            *entry = Some(entry.unwrap_or(Time::ZERO).max(done));
+        }
     }
 
-    /// Computes the queue bounds of the final analysis state.
-    fn finish_queue_bounds(&mut self, ttp_queue: TtpQueueParams, grid_slack: Time, delta: bool) {
-        let mut holistic = Holistic {
+    /// One holistic pass over the schedule of the current outer iteration
+    /// (`last_sched_slot`).
+    fn holistic(&mut self, ttp_queue: TtpQueueParams, grid_slack: Time) -> Holistic<'_> {
+        Holistic {
             ctx: &self.ctx,
             system: self.system,
             schedule: &self.sched_cache[self.last_sched_slot].schedule,
@@ -1594,11 +1443,6 @@ impl<'s> Evaluator<'s> {
             max_iterations: self.params.max_holistic_iterations,
             fifo_bound: self.params.fifo_bound,
             s: &mut self.scratch,
-        };
-        if delta {
-            holistic.queue_bounds_delta();
-        } else {
-            holistic.queue_bounds();
         }
     }
 
@@ -1733,18 +1577,17 @@ impl<'s> Evaluator<'s> {
 #[cfg(test)]
 impl Evaluator<'_> {
     /// Test hook for the delta closure: stages the configuration-derived
-    /// tables and closes `seed_sets` plus `moved` placements over the
-    /// dependency graph, leaving the flags in the scratch and returning the
-    /// cone summary.
+    /// tables and closes `seeds` plus moved frames over the dependency
+    /// graph, leaving the flags in the scratch.
     pub(crate) fn close_for_test(
         &mut self,
         config: &SystemConfig,
-        seed_sets: &[&DeltaSeeds],
-        moved: &[(&[ProcessId], &[MessageId])],
-    ) -> crate::delta::DirtyCone {
+        seeds: &DeltaSeeds,
+        moved_msgs: &[MessageId],
+    ) {
         self.prepare_config(config)
             .expect("valid test configuration");
-        close_dirty(&self.ctx, &mut self.scratch, seed_sets, moved)
+        close_dirty(&self.ctx, &mut self.scratch, seeds, &[], moved_msgs);
     }
 
     /// Test hook: the dirty flags left by [`close_for_test`].
@@ -1752,40 +1595,6 @@ impl Evaluator<'_> {
     /// [`close_for_test`]: Evaluator::close_for_test
     pub(crate) fn dirty_for_test(&self) -> &DirtySet {
         &self.scratch.dirty
-    }
-}
-
-/// Re-derives the release lower bounds of the static scheduler from an
-/// analysis state given as `(arrival, po, pr)` slices — the scratch vectors
-/// after a holistic run, or an iteration's snapshot when the delta path
-/// skips re-analyzing an intermediate iteration whose release inputs are
-/// provably unchanged.
-fn derive_releases_into(
-    system: &System,
-    ctx: &SystemContext,
-    config: &SystemConfig,
-    (arrival, po, pr): (&[Time], &[Time], &[Time]),
-    next_proc_release: &mut Vec<Option<Time>>,
-    next_msg_release: &mut Vec<Option<Time>>,
-) {
-    let app = &system.application;
-    seed_pins(system, config, next_proc_release, next_msg_release);
-    for &mi in &ctx.fifo_ids {
-        // Destination TT process must not start before the worst-case
-        // arrival through Out_TTP.
-        let message = &app.messages()[mi];
-        let bound = arrival[mi].min(ctx.horizon);
-        let entry = &mut next_proc_release[message.dest().index()];
-        *entry = Some(entry.unwrap_or(Time::ZERO).max(bound));
-    }
-    for &mi in &ctx.et_ttp_senders {
-        // TTP frames whose sender runs under priorities (gateway CPU): the
-        // frame cannot leave before the sender's worst-case completion.
-        let message = &app.messages()[mi];
-        let sender = message.source().index();
-        let done = po[sender].saturating_add(pr[sender]).min(ctx.horizon);
-        let entry = &mut next_msg_release[message.id().index()];
-        *entry = Some(entry.unwrap_or(Time::ZERO).max(done));
     }
 }
 

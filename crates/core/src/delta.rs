@@ -21,14 +21,13 @@
 //!   (transaction), so the delta jitter propagation walks only the graphs
 //!   that contain dirty entities;
 //! * **gateway coupling** — the FIFO leg of a dirty ETC→TTC message dirties
-//!   every FIFO leg drained after it (lower CAN priority), and dirty release
-//!   inputs of the outer schedule↔analysis fixed point (FIFO arrivals
-//!   bounding TT releases, ET-hosted TTP sender completions bounding frame
-//!   releases) are handled by the *trajectory replay* of
-//!   [`Evaluator::evaluate_delta`](crate::Evaluator::evaluate_delta): the
-//!   outer loop re-derives the releases per iteration and falls back to a
-//!   full re-schedule + re-analysis of any iteration whose schedule inputs
-//!   actually changed.
+//!   every FIFO leg drained after it (lower CAN priority). Release inputs of
+//!   the outer schedule↔analysis fixed point (FIFO arrivals bounding TT
+//!   releases, ET-hosted TTP sender completions bounding frame releases) are
+//!   not closed over here: the *trajectory replay* of
+//!   [`Evaluator::evaluate_delta`](crate::Evaluator::evaluate_delta)
+//!   re-derives the releases after every outer iteration and re-schedules
+//!   (diffing the new schedule into the cone) when they changed.
 //!
 //! The closure is exact in the conservative direction: every entity whose
 //! analysis inputs can change is marked dirty, so entities left clean keep
@@ -158,51 +157,11 @@ pub(crate) struct DirtySet {
     pub graphs: Vec<bool>,
     /// ET CPUs hosting a dirty process, by `et_nodes` index.
     pub nodes: Vec<bool>,
-    /// Number of dirty entities (processes + CAN legs + FIFO legs).
-    pub count: usize,
-    /// Whether the no-op probe applies: the change is pure priority seeds
-    /// (no moved placements), so only the *equation-dirty* spans below can
-    /// produce new values — if they reproduce their snapshot values, the
-    /// whole cone is provably clean. The evaluator additionally requires
-    /// the change to be a per-resource priority *permutation* among the
-    /// seeds (its validation fast-path check): only then do all hp-set
-    /// changes stay inside the seed position spans.
-    pub probe_ok: bool,
-    /// Per ET CPU: the `node_order` position span whose hp sets changed.
-    pub eq_node_span: Vec<Option<(usize, usize)>>,
-    /// The `can_order` position span whose hp sets changed.
-    pub eq_can_span: Option<(usize, usize)>,
-    /// The FIFO rank span whose drained-ahead sets changed.
-    pub eq_fifo_span: Option<(u64, u64)>,
     /// Worklist of entities whose dependents still need marking.
     work: Vec<Key>,
 }
 
-fn span_extend<T: Copy + Ord>(span: &mut Option<(T, T)>, v: T) {
-    *span = Some(match *span {
-        None => (v, v),
-        Some((lo, hi)) => (lo.min(v), hi.max(v)),
-    });
-}
-
 impl DirtySet {
-    /// Allocation-reusing assignment from another dirty set (batch lanes
-    /// mirror the primary evaluator's state before re-climbing their tails).
-    pub(crate) fn sync_from(&mut self, src: &DirtySet) {
-        self.procs.clone_from(&src.procs);
-        self.can.clone_from(&src.can);
-        self.ttp.clone_from(&src.ttp);
-        self.frame.clone_from(&src.frame);
-        self.graphs.clone_from(&src.graphs);
-        self.nodes.clone_from(&src.nodes);
-        self.count = src.count;
-        self.probe_ok = src.probe_ok;
-        self.eq_node_span.clone_from(&src.eq_node_span);
-        self.eq_can_span = src.eq_can_span;
-        self.eq_fifo_span = src.eq_fifo_span;
-        self.work.clone_from(&src.work);
-    }
-
     fn reset(&mut self, ctx: &SystemContext) {
         let n_p = ctx.proc_is_tt.len();
         let n_m = ctx.route.len();
@@ -217,19 +176,12 @@ impl DirtySet {
             v.clear();
             v.resize(n, false);
         }
-        self.count = 0;
-        self.probe_ok = true;
-        self.eq_node_span.clear();
-        self.eq_node_span.resize(ctx.et_nodes.len(), None);
-        self.eq_can_span = None;
-        self.eq_fifo_span = None;
         self.work.clear();
     }
 
     fn mark_proc(&mut self, pi: usize) {
         if !self.procs[pi] {
             self.procs[pi] = true;
-            self.count += 1;
             self.work.push(Key::Proc(pi));
         }
     }
@@ -237,7 +189,6 @@ impl DirtySet {
     fn mark_can(&mut self, mi: usize) {
         if !self.can[mi] {
             self.can[mi] = true;
-            self.count += 1;
             self.work.push(Key::Can(mi));
         }
     }
@@ -248,7 +199,6 @@ impl DirtySet {
     /// every frame-derived quantity, every graph and every ET CPU.
     pub(crate) fn mark_all(&mut self, ctx: &SystemContext) {
         self.reset(ctx);
-        self.probe_ok = false;
         self.procs.iter_mut().for_each(|v| *v = true);
         self.frame.iter_mut().for_each(|v| *v = true);
         self.graphs.iter_mut().for_each(|v| *v = true);
@@ -259,21 +209,7 @@ impl DirtySet {
         for &mi in &ctx.fifo_ids {
             self.ttp[mi] = true;
         }
-        self.count = self.procs.len() + ctx.can_ids.len() + ctx.fifo_ids.len();
     }
-}
-
-/// The result of closing a seed set over the dependency graph.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DirtyCone {
-    /// Number of dirty entities in the closed cone.
-    pub entities: usize,
-    /// The cone contains a release input of the outer schedule↔analysis
-    /// fixed point: a FIFO leg (its arrival bounds a TT release) or an
-    /// ET-hosted TTP sender (its completion bounds a frame release). With
-    /// `false`, the iteration's derived releases provably reproduce the
-    /// baseline's, so an intermediate iteration can be skipped outright.
-    pub feeders: bool,
 }
 
 /// Closes the configuration seeds and the schedule-diff seeds (processes
@@ -287,9 +223,10 @@ pub(crate) struct DirtyCone {
 pub(crate) fn close_dirty(
     ctx: &SystemContext,
     scratch: &mut Scratch,
-    seed_sets: &[&DeltaSeeds],
-    moved: &[(&[ProcessId], &[MessageId])],
-) -> DirtyCone {
+    seeds: &DeltaSeeds,
+    moved_procs: &[ProcessId],
+    moved_msgs: &[MessageId],
+) {
     let Scratch {
         dirty,
         can_order,
@@ -300,65 +237,39 @@ pub(crate) fn close_dirty(
         ..
     } = scratch;
     dirty.reset(ctx);
-    let mut feeders = false;
 
-    for seeds in seed_sets {
-        for &p in seeds.processes() {
-            let pi = p.index();
-            // A TT process's priority is not read by the analysis (its
-            // timing is fixed by the schedule table), so a stray TT seed
-            // perturbs nothing.
-            if !ctx.proc_is_tt[pi] {
-                dirty.mark_proc(pi);
-                if let Some(ni) = ctx.proc_et_node[pi] {
-                    span_extend(&mut dirty.eq_node_span[ni as usize], node_pos[pi]);
-                }
-            }
+    for &p in seeds.processes() {
+        let pi = p.index();
+        // A TT process's priority is not read by the analysis (its timing
+        // is fixed by the schedule table), so a stray TT seed perturbs
+        // nothing.
+        if !ctx.proc_is_tt[pi] {
+            dirty.mark_proc(pi);
         }
-        for &m in seeds.messages() {
-            let mi = m.index();
-            // Priorities of messages without a CAN leg (TTC→TTC traffic)
-            // are not read by the analysis; everything else enters through
-            // its CAN leg.
-            if ctx.route[mi].uses_can() {
-                dirty.mark_can(mi);
-                span_extend(&mut dirty.eq_can_span, can_pos[mi]);
-                // Every CAN seed extends the FIFO rank span too: a swap
-                // between a FIFO and a non-FIFO message still moves a rank
-                // across the drained-ahead sets of the legs in between.
-                let rank = u64::from(
-                    msg_priority[mi]
-                        // mcs-lint: allow(panic-policy) -- the delta closure only runs on configurations evaluate() has validated
-                        .expect("validated configuration assigns CAN priorities")
-                        .level(),
-                );
-                span_extend(&mut dirty.eq_fifo_span, rank);
-            }
+    }
+    for &m in seeds.messages() {
+        let mi = m.index();
+        // Priorities of messages without a CAN leg (TTC→TTC traffic) are
+        // not read by the analysis; everything else enters through its CAN
+        // leg.
+        if ctx.route[mi].uses_can() {
+            dirty.mark_can(mi);
         }
     }
     // Schedule-diff seeds: a moved TT start re-enters the analysis as the
     // process's (fixed) offset; a moved frame as the frame-derived arrival
     // (TTC→TTC) or CAN-leg offset (TTC→ETC).
-    for &(moved_procs, moved_msgs) in moved {
-        if !moved_procs.is_empty() || !moved_msgs.is_empty() {
-            // Moved placements are real offset changes: no no-op probe.
-            dirty.probe_ok = false;
-        }
-        for &p in moved_procs {
-            dirty.mark_proc(p.index());
-        }
-        for &m in moved_msgs {
-            let mi = m.index();
-            if !dirty.frame[mi] {
-                dirty.frame[mi] = true;
-                dirty.count += 1;
-                dirty.graphs[ctx.msg_graph[mi] as usize] = true;
-            }
-            if matches!(ctx.route[mi], MessageRoute::TtcToEtc) {
-                // The moved frame shifts the CAN-leg offset: the flow's own
-                // delay and its priority band must be re-derived.
-                dirty.mark_can(mi);
-            }
+    for &p in moved_procs {
+        dirty.mark_proc(p.index());
+    }
+    for &m in moved_msgs {
+        let mi = m.index();
+        dirty.frame[mi] = true;
+        dirty.graphs[ctx.msg_graph[mi] as usize] = true;
+        if matches!(ctx.route[mi], MessageRoute::TtcToEtc) {
+            // The moved frame shifts the CAN-leg offset: the flow's own
+            // delay and its priority band must be re-derived.
+            dirty.mark_can(mi);
         }
     }
 
@@ -366,9 +277,6 @@ pub(crate) fn close_dirty(
         match key {
             Key::Proc(pi) => {
                 dirty.graphs[ctx.proc_graph[pi] as usize] = true;
-                if ctx.proc_feeds_msg_release[pi] {
-                    feeders = true;
-                }
                 if let Some(ni) = ctx.proc_et_node[pi] {
                     let ni = ni as usize;
                     dirty.nodes[ni] = true;
@@ -404,21 +312,19 @@ pub(crate) fn close_dirty(
                         // propagates nothing further itself — its arrival
                         // bounds a TT release, which the trajectory replay
                         // of the outer loop re-derives and re-checks.
-                        feeders = true;
                         let level = msg_priority[mi]
                             // mcs-lint: allow(panic-policy) -- the delta closure only runs on configurations evaluate() has validated
                             .expect("validated configuration assigns CAN priorities")
                             .level();
                         for &mj in &ctx.fifo_ids {
-                            let dirtied = mj == mi
+                            if mj == mi
                                 || msg_priority[mj]
                                     // mcs-lint: allow(panic-policy) -- the delta closure only runs on configurations evaluate() has validated
                                     .expect("validated configuration assigns CAN priorities")
                                     .level()
-                                    >= level;
-                            if dirtied && !dirty.ttp[mj] {
+                                    >= level
+                            {
                                 dirty.ttp[mj] = true;
-                                dirty.count += 1;
                             }
                         }
                     }
@@ -432,11 +338,6 @@ pub(crate) fn close_dirty(
                 }
             }
         }
-    }
-
-    DirtyCone {
-        entities: dirty.count,
-        feeders,
     }
 }
 
@@ -480,15 +381,12 @@ mod tests {
         assert_ne!(seeds.processes().len(), doubled.processes().len());
 
         let mut a = Evaluator::new(&fig.system, AnalysisParams::default());
-        let cone_once = a.close_for_test(&fig.config_a, &[&seeds], &[]);
+        a.close_for_test(&fig.config_a, &seeds, &[]);
         let dirty_once = a.dirty_for_test().clone();
         let mut b = Evaluator::new(&fig.system, AnalysisParams::default());
-        let cone_twice = b.close_for_test(&fig.config_a, &[&doubled, &seeds], &[]);
+        b.close_for_test(&fig.config_a, &doubled, &[]);
         let dirty_twice = b.dirty_for_test();
-        // Duplicated seeds close to the identical cone: each entity is
-        // marked (and counted) once.
-        assert_eq!(cone_once.entities, cone_twice.entities);
-        assert_eq!(cone_once.feeders, cone_twice.feeders);
+        // Duplicated seeds close to the identical cone.
         assert_eq!(dirty_once.procs, dirty_twice.procs);
         assert_eq!(dirty_once.can, dirty_twice.can);
         assert_eq!(dirty_once.ttp, dirty_twice.ttp);
@@ -498,34 +396,32 @@ mod tests {
     fn empty_seeds_close_to_an_empty_cone() {
         let fig = fig();
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        let cone = ev.close_for_test(&fig.config_a, &[&DeltaSeeds::new()], &[]);
-        assert_eq!(cone.entities, 0);
-        assert!(!cone.feeders);
-        assert!(ev.dirty_for_test().probe_ok);
+        ev.close_for_test(&fig.config_a, &DeltaSeeds::new(), &[]);
+        let dirty = ev.dirty_for_test();
+        for flags in [&dirty.procs, &dirty.can, &dirty.ttp, &dirty.frame] {
+            assert!(flags.iter().all(|&d| !d));
+        }
     }
 
     #[test]
-    fn gateway_release_coupling_marks_feeders_and_the_fifo_tail() {
+    fn gateway_coupling_marks_the_fifo_tail() {
         let fig = fig();
-        // m3 (P2 → P4) is the ETC→TTC message: its FIFO arrival bounds
-        // P4's release — a coupling of the *outer* fixed point.
+        // m3 (P2 → P4) is the ETC→TTC message: its CAN leg feeds its FIFO
+        // leg.
         let mut seeds = DeltaSeeds::new();
         seeds.push_message(ids::M3);
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        let cone = ev.close_for_test(&fig.config_a, &[&seeds], &[]);
-        assert!(cone.feeders, "a dirty FIFO leg is a release input");
+        ev.close_for_test(&fig.config_a, &seeds, &[]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.can[ids::M3.index()]);
         assert!(dirty.ttp[ids::M3.index()]);
 
         // Seeding the highest-priority CAN message reaches m3 through the
-        // bus band (m2, m3 are lower priority), and through m3 the FIFO leg
-        // and the feeders flag.
+        // bus band (m2, m3 are lower priority), and through m3 the FIFO leg.
         let mut seeds = DeltaSeeds::new();
         seeds.push_message(ids::M1);
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        let cone = ev.close_for_test(&fig.config_a, &[&seeds], &[]);
-        assert!(cone.feeders);
+        ev.close_for_test(&fig.config_a, &seeds, &[]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.can[ids::M1.index()]);
         assert!(dirty.can[ids::M2.index()]);
@@ -542,39 +438,34 @@ mod tests {
         let mut seeds = DeltaSeeds::new();
         seeds.push_process(ids::P2);
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        let cone = ev.close_for_test(&fig.config_a, &[&seeds], &[]);
+        ev.close_for_test(&fig.config_a, &seeds, &[]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.procs[ids::P2.index()]);
         assert!(!dirty.procs[ids::P3.index()]);
-        // …but P2's response feeds the enqueue jitter of m3, so the cone
-        // still contains a release input.
+        // …but P2's response feeds the enqueue jitter of m3.
         assert!(dirty.can[ids::M3.index()]);
-        assert!(cone.feeders);
 
         // Seeding the higher-priority P3 dirties the band below it.
         let mut seeds = DeltaSeeds::new();
         seeds.push_process(ids::P3);
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        ev.close_for_test(&fig.config_a, &[&seeds], &[]);
+        ev.close_for_test(&fig.config_a, &seeds, &[]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.procs[ids::P3.index()]);
         assert!(dirty.procs[ids::P2.index()]);
     }
 
     #[test]
-    fn moved_placements_disable_the_probe_and_seed_the_frame() {
+    fn moved_placements_seed_the_frame_and_the_can_band() {
         let fig = fig();
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        let moved_msgs = [ids::M1];
-        let cone = ev.close_for_test(&fig.config_a, &[&DeltaSeeds::new()], &[(&[], &moved_msgs)]);
+        ev.close_for_test(&fig.config_a, &DeltaSeeds::new(), &[ids::M1]);
         let dirty = ev.dirty_for_test();
-        assert!(!dirty.probe_ok, "moved placements are real offset changes");
         assert!(dirty.frame[ids::M1.index()]);
         // A moved TTC→ETC frame shifts the CAN-leg offset: the flow and its
         // band re-derive, down to the FIFO leg of m3.
         assert!(dirty.can[ids::M1.index()]);
         assert!(dirty.can[ids::M3.index()]);
         assert!(dirty.ttp[ids::M3.index()]);
-        assert!(cone.entities > 0);
     }
 }

@@ -132,12 +132,13 @@ impl Holistic<'_> {
 
     /// Restricted fixed point over the dirty cone of `Scratch::dirty`
     /// (see [`crate::delta`]): the scratch holds the converged analysis of
-    /// this exact schedule under the delta base configuration (loaded from
-    /// the outer iteration's snapshot); clean entities keep those values,
-    /// dirty entities restart from the bottom of the lattice and re-climb
-    /// against the fixed clean inputs — reaching the same least fixed point
-    /// a full re-analysis would, in a fraction of the kernel work. This is
-    /// the **delta** seeding of the same worklist engine [`run`] drives.
+    /// this outer iteration under the delta base configuration (loaded from
+    /// the iteration's snapshot; placements a schedule rebuild moved are in
+    /// the cone). Clean entities keep those values; every dirty entity
+    /// restarts from the bottom of the lattice and re-climbs against the
+    /// fixed clean inputs — reaching the same least fixed point a full
+    /// re-analysis would, in a fraction of the kernel work. This is the
+    /// **delta** seeding of the same worklist engine [`run`] drives.
     /// Returns whether quiescence was reached within the budget; on `false`
     /// the caller must fall back to the full analysis (the scratch is
     /// mid-climb).
@@ -145,17 +146,6 @@ impl Holistic<'_> {
     /// [`run`]: Holistic::run
     pub(crate) fn run_delta(&mut self) -> bool {
         let ctx = self.ctx;
-        // No-op probe: for a pure priority permutation, only the seed
-        // position spans' equations changed. Recompute those few fixed
-        // points cold against the loaded baseline; if every one reproduces
-        // its snapshot value, nothing in the cone can move — the baseline
-        // *is* this configuration's analysis.
-        if self.s.dirty.probe_ok {
-            self.stage_kernel_inputs();
-            if self.probe_unchanged() {
-                return true;
-            }
-        }
         {
             // Dirty entities restart from the bottom of the fixed-point
             // lattice. Offsets are *kept* here and re-derived by the
@@ -195,9 +185,7 @@ impl Holistic<'_> {
         // clean entries carry their baseline (= new least fixed point)
         // values, dirty entries their freshly walked bottom-side values —
         // everything at or below the new least fixed point, which is what
-        // licenses the per-entity warm starts. The probe path staged the
-        // arrays from the unreset baseline; after a failed probe the dirty
-        // entries must be re-staged from the reset state.
+        // licenses the per-entity warm starts.
         self.stage_kernel_inputs();
         self.solve()
     }
@@ -512,85 +500,6 @@ impl Holistic<'_> {
         }
     }
 
-    /// Probes the equation-dirty spans against the loaded baseline: every
-    /// affected fixed point is recomputed cold and compared to its snapshot
-    /// value. `true` means the whole dirty cone is provably value-clean.
-    /// Requires [`stage_kernel_inputs`](Holistic::stage_kernel_inputs) to
-    /// have staged the kernel arrays from the (unmodified) baseline state.
-    ///
-    /// Soundness (why a passing probe implies the baseline is the *least*
-    /// fixed point of the new equations, not merely *a* fixed point): a
-    /// priority permutation only adds or removes interference terms in the
-    /// span entities' equations. A removed term that reproduces the old
-    /// value must have contributed zero at the old state, and an added term
-    /// must evaluate to zero there (otherwise the cold climb would pass the
-    /// old value and mismatch). Every term is monotone in the state, so a
-    /// term that is zero at the old state is zero on the whole order
-    /// interval below it — the new fixed-point map coincides with the old
-    /// one on the entire climb range, and the from-bottom iterations (and
-    /// hence the least fixed points) are identical.
-    fn probe_unchanged(&mut self) -> bool {
-        let ctx = self.ctx;
-        let s = &*self.s;
-        if let Some((lo, hi)) = s.dirty.eq_can_span {
-            for k in lo..=hi {
-                let mi = s.can_order[k];
-                let w = mcs_can::queuing_delay_sorted(
-                    &s.can_flows,
-                    k,
-                    s.can_blocking[k],
-                    self.horizon,
-                    Time::ZERO,
-                );
-                if w != Some(s.can_w[mi]) {
-                    return false;
-                }
-            }
-        }
-        if let Some((lo, hi)) = s.dirty.eq_fifo_span {
-            for (k, &mi) in ctx.fifo_ids.iter().enumerate() {
-                let rank = s.fifo_flows[k].rank;
-                if rank < lo || rank > hi {
-                    continue;
-                }
-                let delay = match self.fifo_bound {
-                    FifoBound::PaperClosedForm => {
-                        fifo_delay_from(&s.fifo_flows, k, &self.ttp_queue, self.horizon, Time::ZERO)
-                    }
-                    FifoBound::SlotOccurrence => {
-                        fifo_delay_occurrence(&s.fifo_flows, k, &self.ttp_queue, self.horizon)
-                    }
-                };
-                let reproduced = delay.is_some_and(|d| {
-                    d.delay.saturating_add(self.grid_slack) == s.ttp_w[mi]
-                        && d.backlog == s.backlog[mi]
-                });
-                if !reproduced {
-                    return false;
-                }
-            }
-        }
-        for (ni, et) in ctx.et_nodes.iter().enumerate() {
-            let Some((lo, hi)) = s.dirty.eq_node_span[ni] else {
-                continue;
-            };
-            let offset = usize::from(et.is_gateway);
-            for idx in lo..=hi {
-                let pi = s.node_order[ni][idx].index();
-                let w = crate::rta::interference_delay_sorted(
-                    &s.task_arrays[ni],
-                    offset + idx,
-                    self.horizon,
-                    Time::ZERO,
-                );
-                if w != Some(s.pw[pi]) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Stages the kernel input arrays from the current scratch state: the
     /// sorted CAN flows, the FIFO flows, and — for each CPU hosting a dirty
     /// process — the rank-ordered task array. Every entry is at or below
@@ -718,38 +627,6 @@ impl Holistic<'_> {
 
     fn task_flow(&self, pi: usize) -> TaskFlow {
         build_task_flow(self.ctx, self.s, pi)
-    }
-
-    /// Delta form of [`queue_bounds`](Holistic::queue_bounds): queues with
-    /// no member in the dirty cone keep their bound from the previous
-    /// evaluation (their member flows and delays are provably unchanged).
-    /// Only valid when the evaluation's final state extends the previous
-    /// evaluation's final snapshot through the cone (the caller checks).
-    pub(crate) fn queue_bounds_delta(&mut self) {
-        let ctx = self.ctx;
-
-        if ctx.out_can_ids.iter().any(|&mi| self.s.dirty.can[mi]) {
-            let out_can = self.priority_queue_bound(&ctx.out_can_ids);
-            self.s.queues.out_can = out_can;
-        }
-
-        // The map keys are stable across evaluations, so untouched queues
-        // simply keep their entries.
-        for (node, ids) in &ctx.out_node_ids {
-            if ids.iter().any(|&mi| self.s.dirty.can[mi]) {
-                let bound = self.priority_queue_bound(ids);
-                self.s.queues.out_node.insert(*node, bound);
-            }
-        }
-
-        if ctx.fifo_ids.iter().any(|&mi| self.s.dirty.ttp[mi]) {
-            self.s.queues.out_ttp = ctx
-                .fifo_ids
-                .iter()
-                .map(|&mi| self.s.backlog[mi])
-                .max()
-                .unwrap_or(0);
-        }
     }
 
     /// Buffer bounds for `Out_CAN`, `Out_TTP` and every `Out_Ni`, left in

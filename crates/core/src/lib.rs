@@ -111,13 +111,13 @@ pub use delta::DeltaSeeds;
 pub use multicluster::{multi_cluster_scheduling, AnalysisError, AnalysisParams, FifoBound};
 pub use outcome::{AnalysisOutcome, EntityTiming, MessageTiming, QueueBounds};
 pub use queues::{
-    fifo_blocking, fifo_delay, fifo_delay_from, fifo_delay_occurrence, fifo_delays,
-    fifo_size_bound, FifoDelay, FifoFlow, TtpQueueParams,
+    fifo_blocking, fifo_delay, fifo_delay_from, fifo_delay_occurrence, fifo_size_bound, FifoDelay,
+    FifoFlow, TtpQueueParams,
 };
 pub use report::{json_line, render_report, JsonField, JsonLinesWriter};
 pub use rta::{
     interference_delay, interference_delay_from, interference_delay_sorted, interference_delays,
-    interference_delays_filtered, interference_delays_into, relative_phase, TaskFlow,
+    TaskFlow,
 };
 pub use schedulability::{degree_of_schedulability, is_schedulable, SchedulabilityDegree};
 pub use validate::validate_config;

@@ -206,17 +206,6 @@ pub fn fifo_delay_occurrence(
     }
 }
 
-/// Computes delays and backlogs for all flows.
-pub fn fifo_delays(
-    flows: &[FifoFlow],
-    params: &TtpQueueParams,
-    horizon: Time,
-) -> Vec<Option<FifoDelay>> {
-    (0..flows.len())
-        .map(|m| fifo_delay(flows, m, params, horizon))
-        .collect()
-}
-
 /// The FIFO buffer bound `s_Out^TTP = max_m (S_m + I_m)`, treating diverged
 /// flows as occupying the full backlog implied by the horizon is meaningless
 /// — diverged flows simply contribute their own size plus everything ahead

@@ -41,27 +41,6 @@ pub struct TaskFlow {
     pub response: Time,
 }
 
-/// The relative phase `O_ij` of task `j` w.r.t. task `i`: the earliest
-/// activation of `j` at or after `i`'s critical instant.
-///
-/// Tasks of different transactions (or without one) have no phase relation
-/// and interfere from the critical instant (`O_ij = 0`).
-pub fn relative_phase(o_i: Time, o_j: Time, period_j: Time, same_transaction: bool) -> Time {
-    if !same_transaction {
-        return Time::ZERO;
-    }
-    if o_j >= o_i {
-        (o_j - o_i) % period_j
-    } else {
-        let behind = (o_i - o_j) % period_j;
-        if behind.is_zero() {
-            Time::ZERO
-        } else {
-            period_j - behind
-        }
-    }
-}
-
 fn same_transaction(a: Option<u32>, b: Option<u32>) -> bool {
     matches!((a, b), (Some(x), Some(y)) if x == y)
 }
@@ -92,38 +71,9 @@ fn activations(w: Time, i: &TaskFlow, j: &TaskFlow) -> u64 {
 /// Returns `None` for a task whose busy window exceeds `horizon` (diverged:
 /// the demand of higher-priority tasks is unsustainable).
 pub fn interference_delays(tasks: &[TaskFlow], horizon: Time) -> Vec<Option<Time>> {
-    let mut delays = Vec::new();
-    interference_delays_into(tasks, horizon, &mut delays);
-    delays
-}
-
-/// Allocation-free form of [`interference_delays`]: clears and refills
-/// `delays` in task order, reusing its capacity.
-pub fn interference_delays_into(tasks: &[TaskFlow], horizon: Time, delays: &mut Vec<Option<Time>>) {
-    delays.clear();
-    interference_delays_filtered(tasks, horizon, |_| true, delays);
-}
-
-/// The one batch implementation behind every multi-task entry point,
-/// parameterized by an entity filter: `delays` is resized to `tasks.len()`
-/// (extending with `None`, truncating any stale tail), then the busy
-/// window of each task `i` with `recompute(i)` is recomputed while the
-/// remaining in-range entries keep their previous values. Callers
-/// restricting the filter guarantee — e.g. via a dependency closure — that
-/// no input of a skipped task changed, so its previous delay is still the
-/// least fixed point.
-pub fn interference_delays_filtered(
-    tasks: &[TaskFlow],
-    horizon: Time,
-    mut recompute: impl FnMut(usize) -> bool,
-    delays: &mut Vec<Option<Time>>,
-) {
-    delays.resize(tasks.len(), None);
-    for (i, delay) in delays.iter_mut().enumerate() {
-        if recompute(i) {
-            *delay = interference_delay(tasks, i, horizon);
-        }
-    }
+    (0..tasks.len())
+        .map(|i| interference_delay(tasks, i, horizon))
+        .collect()
 }
 
 /// Computes the interference delay `w_i` of `tasks[i]`.
@@ -297,49 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn relative_phase_wraps_by_period() {
-        let t = Time::from_millis(100);
-        assert_eq!(
-            relative_phase(Time::from_millis(30), Time::from_millis(80), t, true),
-            Time::from_millis(50)
-        );
-        assert_eq!(
-            relative_phase(Time::from_millis(80), Time::from_millis(30), t, true),
-            Time::from_millis(50)
-        );
-        assert_eq!(
-            relative_phase(Time::from_millis(80), Time::from_millis(80), t, true),
-            Time::ZERO
-        );
-        assert_eq!(
-            relative_phase(Time::from_millis(30), Time::from_millis(80), t, false),
-            Time::ZERO
-        );
-    }
-
-    #[test]
     fn overload_diverges() {
         // 120 % higher-priority demand on the lowest task: no fixed point.
         let tasks = vec![task(0, 10, 6), task(1, 10, 6), task(2, 10, 6)];
         let w = interference_delays(&tasks, Time::from_millis(1000));
         assert_eq!(w[2], None);
-    }
-
-    #[test]
-    fn filtered_delays_recompute_only_the_selected_tasks() {
-        let tasks = vec![task(0, 4, 1), task(1, 10, 2), task(2, 20, 3)];
-        let horizon = Time::from_millis(1000);
-        let full = interference_delays(&tasks, horizon);
-        // A poisoned buffer: the filter must leave unselected entries
-        // untouched and resize missing ones with `None`.
-        let poison = Some(Time::from_millis(999));
-        let mut delays = vec![poison];
-        interference_delays_filtered(&tasks, horizon, |i| i != 0, &mut delays);
-        assert_eq!(delays[0], poison);
-        assert_eq!(delays[1], full[1]);
-        assert_eq!(delays[2], full[2]);
-        // Selecting everything reproduces the batch form.
-        interference_delays_filtered(&tasks, horizon, |_| true, &mut delays);
-        assert_eq!(delays, full);
     }
 }

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use mcs_core::{
-    fifo_delay, fifo_delay_occurrence, interference_delays, FifoFlow, TaskFlow, TtpQueueParams,
+    fifo_delay, fifo_delay_occurrence, interference_delay, interference_delay_sorted,
+    interference_delays, FifoFlow, TaskFlow, TtpQueueParams,
 };
 use mcs_model::Time;
 
@@ -88,6 +89,28 @@ proptest! {
         for (b, a) in before.iter().zip(&after).skip(1) {
             if let (Some(b), Some(a)) = (b, a) {
                 prop_assert!(a >= b);
+            }
+        }
+    }
+
+    /// The sorted kernel the evaluator calls (hint 0) equals the generic
+    /// one, and a warm start at that fixed point returns it unchanged —
+    /// with and without a shared transaction.
+    #[test]
+    fn sorted_kernel_matches_generic(
+        mut tasks in proptest::collection::vec(arb_task(0), 1..6),
+        shared in any::<bool>(),
+    ) {
+        for (i, t) in tasks.iter_mut().enumerate() {
+            t.rank = i as u64;
+            t.transaction = shared.then_some(0);
+        }
+        let horizon = Time::from_ticks(u64::MAX / 4);
+        for i in 0..tasks.len() {
+            let sorted = interference_delay_sorted(&tasks, i, horizon, Time::ZERO);
+            prop_assert_eq!(sorted, interference_delay(&tasks, i, horizon));
+            if let Some(w) = sorted {
+                prop_assert_eq!(interference_delay_sorted(&tasks, i, horizon, w), sorted);
             }
         }
     }

@@ -11,7 +11,8 @@
 //!   priority swaps, φ pin/unpin);
 //! * degenerate batches — width 1, duplicate candidates, infeasible
 //!   members (slot capacity forced under the minimum) — and multi-rate
-//!   instances.
+//!   instances;
+//! * a scratch reused under other analysis parameters.
 
 use proptest::prelude::*;
 
@@ -90,6 +91,38 @@ fn sequential_results(
             result
         })
         .collect()
+}
+
+/// A scratch reused by an evaluator of the same system under other analysis
+/// parameters must not run the candidates on lanes built for the old ones.
+#[test]
+fn reused_scratch_follows_the_analysis_params() {
+    let mut p = GeneratorParams::paper_sized(4, 11);
+    p.inter_cluster_messages = Some(10);
+    let system = generate(&p);
+    let base = sa_start(&system);
+    let first = AnalysisParams::default();
+    let evaluation = evaluate(&system, base.clone(), &first).expect("base analyzable");
+    let moves: Vec<Move> = neighborhood(&system, &evaluation)
+        .into_iter()
+        .take(16)
+        .collect();
+    let requests = requests_for(&base, &moves);
+    let mut scratch = BatchScratch::new();
+    let mut batched = Evaluator::new(&system, first);
+    batched.evaluate(&base).expect("base analyzable");
+    batched.evaluate_batch(&mut scratch, &requests);
+
+    let second = AnalysisParams {
+        max_outer_iterations: 1,
+        ..first
+    };
+    let mut batched = Evaluator::new(&system, second);
+    batched.evaluate(&base).expect("base analyzable");
+    let results = batched.evaluate_batch(&mut scratch, &requests);
+    let mut sequential = Evaluator::new(&system, second);
+    sequential.evaluate(&base).expect("base analyzable");
+    assert_eq!(results, sequential_results(&mut sequential, &requests));
 }
 
 proptest! {

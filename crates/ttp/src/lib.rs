@@ -31,8 +31,8 @@ mod rounds;
 mod schedule;
 
 pub use list_scheduler::{
-    critical_path_priorities, critical_path_priorities_into, list_schedule,
-    list_schedule_dense_into, DenseSchedulerInput, ScheduleError, SchedulerInput,
+    critical_path_priorities_into, list_schedule, list_schedule_dense_into, DenseSchedulerInput,
+    ScheduleError, SchedulerInput,
 };
 pub use render::render_schedule;
 pub use rounds::{RoundSchedule, SlotOccurrence};

@@ -157,18 +157,8 @@ pub fn list_schedule_dense_into(
 
 /// Critical-path list priorities: the longest downstream path of each
 /// process, where processes weigh their WCET and cross-node arcs weigh one
-/// TDMA round (a uniform communication estimate).
-pub fn critical_path_priorities(system: &System, tdma: &TdmaConfig) -> HashMap<ProcessId, Time> {
-    let mut prio = Vec::new();
-    critical_path_priorities_into(system, tdma, &mut prio);
-    prio.into_iter()
-        .enumerate()
-        .map(|(i, t)| (ProcessId::new(i as u32), t))
-        .collect()
-}
-
-/// Allocation-reusing form of [`critical_path_priorities`]: clears and
-/// refills `prio`, indexed densely by [`ProcessId::index`].
+/// TDMA round (a uniform communication estimate). Clears and refills
+/// `prio`, indexed densely by [`ProcessId::index`].
 pub fn critical_path_priorities_into(system: &System, tdma: &TdmaConfig, prio: &mut Vec<Time>) {
     let app = &system.application;
     let comm = tdma.round_duration(&system.architecture.ttp_params());
@@ -626,9 +616,10 @@ mod tests {
     #[test]
     fn critical_path_orders_longer_chains_first() {
         let (system, tdma) = fixture();
-        let prio = critical_path_priorities(&system, &tdma);
+        let mut prio = Vec::new();
+        critical_path_priorities_into(&system, &tdma, &mut prio);
         // P1 heads the whole chain: its CP must exceed P3's.
-        assert!(prio[&ProcessId::new(0)] > prio[&ProcessId::new(2)]);
+        assert!(prio[0] > prio[2]);
     }
 
     #[test]
