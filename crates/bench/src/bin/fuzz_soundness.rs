@@ -4,26 +4,28 @@
 //! moves), simulate under randomized execution times and fail loudly on any
 //! observation exceeding its analytic bound.
 //!
-//! The OS synthesis runs — the expensive part of the campaign — are served
-//! by a [`SynthesisService`]: fanned out across the worker pool, each under
-//! a per-job wall-clock deadline so one pathological instance cannot wedge
-//! the whole campaign, with panic isolation so a crashing search costs one
-//! record instead of the run. Timed-out or failed syntheses are skipped
-//! (and counted); soundness *violations* still abort loudly — they are the
-//! bug this campaign exists to catch.
+//! The OS synthesis runs — the expensive part of the campaign — are one
+//! [`run_batch`]: fanned out across the worker pool, each under a per-job
+//! wall-clock deadline so one pathological instance cannot wedge the whole
+//! campaign, with panic isolation so a crashing search costs one record
+//! instead of the run. Timed-out or failed syntheses are skipped (and
+//! counted) — a timed-out one's partial incumbent is never checked;
+//! soundness *violations* still abort loudly — they are the bug this
+//! campaign exists to catch.
 //!
 //! Usage: `cargo run --release -p mcs-bench --bin fuzz_soundness [-- --seeds N]`
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use mcs_bench::campaign::completed_report;
 use mcs_bench::ExperimentOptions;
 use mcs_core::{AnalysisParams, FifoBound};
 use mcs_gen::{generate, Distribution, GeneratorParams};
 use mcs_model::{System, SystemConfig};
 use mcs_opt::{
-    evaluate, hopa_priorities, neighborhood, straightforward_config, JobSpec, Os, OsParams,
-    ServiceConfig, SynthesisService,
+    evaluate, hopa_priorities, neighborhood, run_batch, straightforward_config, JobSpec, Os,
+    OsParams,
 };
 use mcs_sim::{simulate, simulate_with_faults, ExecutionModel, FaultParams, FaultPlan, SimParams};
 
@@ -96,12 +98,9 @@ fn main() {
     let options = ExperimentOptions::from_args();
     let campaigns = options.seeds.max(5) * 40;
 
-    // Generate every instance and queue its OS synthesis on the service.
+    // Generate every instance and batch its OS synthesis.
     let mut instances = Vec::with_capacity(campaigns as usize);
-    let service = SynthesisService::start(ServiceConfig {
-        queue_capacity: campaigns as usize,
-        ..ServiceConfig::default()
-    });
+    let mut jobs = Vec::with_capacity(campaigns as usize);
     for seed in 0..campaigns {
         let mut params = GeneratorParams::paper_sized(2, seed);
         params.processes_per_node = 6 + (seed % 10) as usize;
@@ -120,21 +119,18 @@ fn main() {
             },
             ..AnalysisParams::default()
         };
-        service
-            .try_submit(
-                JobSpec::new(
-                    format!("os/{seed}"),
-                    Arc::clone(&system),
-                    analysis,
-                    Os::new(OsParams::default()),
-                )
-                .deadline(OS_DEADLINE),
+        jobs.push(
+            JobSpec::new(
+                format!("os/{seed}"),
+                Arc::clone(&system),
+                analysis,
+                Os::new(OsParams::default()),
             )
-            .expect("queue sized to the campaign");
+            .deadline(OS_DEADLINE),
+        );
         instances.push((seed, system, analysis));
     }
-    let mut os_records = service.shutdown();
-    os_records.sort_by_key(|record| record.id);
+    let os_records = run_batch(jobs);
     assert_eq!(os_records.len(), instances.len(), "one record per instance");
 
     let mut checked = 0u64;
@@ -145,12 +141,11 @@ fn main() {
         hopa.priorities = hopa_priorities(&system, &hopa.tdma);
         checked += u64::from(check(&system, &hopa, &analysis, &format!("hopa/{seed}")));
 
-        // Style 2: OS-optimized, synthesized by the service above.
-        let outcome_kind = os_record.outcome.kind();
-        let os = match os_record.outcome.into_report() {
+        // Style 2: OS-optimized, synthesized by the batch above.
+        let os = match completed_report(os_record.outcome) {
             Ok(report) => report,
             Err(e) => {
-                eprintln!("skipping os/{seed} ({outcome_kind}): {e}");
+                eprintln!("skipping os/{seed} ({e})");
                 skipped += 1;
                 continue;
             }

@@ -16,15 +16,15 @@
 //! (`fault_campaign --cell K`) and reproduces its JSON record byte for
 //! byte. The only nondeterminism is the synthesis deadline: a cell whose
 //! schedule synthesis times out is recorded as
-//! [`CellStatus::SynthesisFailed`] and skipped, never silently dropped.
+//! [`CellStatus::SynthesisFailed`] and skipped, never silently dropped —
+//! and never run on the partial incumbent, which depends on where the
+//! wall-clock cut fell.
 //!
 //! The expensive part — schedule-optimized (OS) synthesis for the cells
-//! that ask for it — is served by a [`SynthesisService`]: parallel workers,
-//! per-job wall-clock deadlines, panic isolation, and a [`JobSpec::tag`]
-//! carrying the cell index so records pair with their cells without name
-//! parsing.
+//! that ask for it — is one [`run_batch`]: parallel workers, per-job
+//! wall-clock deadlines, panic isolation, and records in submission order,
+//! which is cell order.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,9 +33,10 @@ use rand::{RngCore, SeedableRng};
 
 use mcs_core::{json_line, AnalysisParams, FifoBound, JsonField};
 use mcs_gen::{generate, GeneratorParams};
+use mcs_model::SystemConfig;
 use mcs_opt::{
-    evaluate, hopa_priorities, straightforward_config, JobSpec, Os, OsParams, ServiceConfig,
-    SynthesisService,
+    evaluate, hopa_priorities, run_batch, straightforward_config, JobOutcome, JobSpec, Os,
+    OsParams, SynthesisReport,
 };
 use mcs_sim::{
     simulate, simulate_with_faults, ExecutionModel, FaultParams, FaultPlan, SimParams, SimReport,
@@ -385,40 +386,32 @@ pub fn run_campaign(spec: &CampaignSpec) -> (Vec<CellRecord>, CampaignSummary) {
 
 /// Runs the listed cells of `spec` (the `--cell K` replay path runs one).
 ///
-/// OS-style cells are synthesized first, fanned across a
-/// [`SynthesisService`] worker pool under `spec.deadline`; evaluation and
-/// the two simulation legs then run sequentially per cell, so the records
-/// come back in the order of `indices`.
+/// OS-style cells are synthesized first, as one [`run_batch`] under
+/// `spec.deadline`; evaluation and the two simulation legs then run
+/// sequentially per cell, so the records come back in the order of
+/// `indices`.
 pub fn run_cells(spec: &CampaignSpec, indices: &[u64]) -> Vec<CellRecord> {
     let cells: Vec<CampaignCell> = indices.iter().map(|&i| plan_cell(spec, i)).collect();
     let systems: Vec<Arc<_>> = cells.iter().map(|c| Arc::new(generate(&c.gen))).collect();
 
-    // Fan the OS syntheses out; `tag = index + 1` pairs records to cells
-    // (0 marks "untagged" in the record stream, hence the shift).
-    let service = SynthesisService::start(ServiceConfig {
-        queue_capacity: cells.len().max(1),
-        ..ServiceConfig::default()
-    });
-    for (cell, system) in cells.iter().zip(&systems) {
-        if cell.style == ConfigStyle::Os {
-            service
-                .try_submit(
-                    JobSpec::new(
-                        format!("cell/{}", cell.index),
-                        Arc::clone(system),
-                        cell.analysis,
-                        Os::new(OsParams::default()),
-                    )
-                    .deadline(spec.deadline)
-                    .tag(cell.index + 1),
+    // One record per OS cell, in cell order.
+    let mut synthesized = run_batch(
+        cells
+            .iter()
+            .zip(&systems)
+            .filter(|(cell, _)| cell.style == ConfigStyle::Os)
+            .map(|(cell, system)| {
+                JobSpec::new(
+                    format!("cell/{}", cell.index),
+                    Arc::clone(system),
+                    cell.analysis,
+                    Os::new(OsParams::default()),
                 )
-                .expect("queue sized to the cell count");
-        }
-    }
-    let mut synthesized: HashMap<u64, _> = HashMap::new();
-    for record in service.shutdown() {
-        synthesized.insert(record.tag - 1, record.outcome);
-    }
+                .deadline(spec.deadline)
+            })
+            .collect(),
+    )
+    .into_iter();
 
     cells
         .iter()
@@ -431,17 +424,16 @@ pub fn run_cells(spec: &CampaignSpec, indices: &[u64]) -> Vec<CellRecord> {
                     config
                 }
                 ConfigStyle::Os => {
-                    let outcome = synthesized
-                        .remove(&cell.index)
+                    let record = synthesized
+                        .next()
                         .expect("one synthesis record per OS cell");
-                    let kind = outcome.kind();
-                    match outcome.into_report() {
+                    match completed_report(record.outcome) {
                         Ok(report) => report.best.config,
-                        Err(e) => {
+                        Err(error) => {
                             return CellRecord::skipped(
                                 cell,
                                 CellStatus::SynthesisFailed,
-                                Some(format!("{kind}: {e}")),
+                                Some(error),
                             );
                         }
                     }
@@ -452,12 +444,32 @@ pub fn run_cells(spec: &CampaignSpec, indices: &[u64]) -> Vec<CellRecord> {
         .collect()
 }
 
+/// The report of a synthesis job whose incumbent a soundness check may run
+/// on: only a completed job's. A timed-out or cancelled job's partial
+/// incumbent depends on where the wall-clock cut fell, so checking it
+/// would break the replay contract; like a failed or panicked job it is
+/// an error naming the outcome.
+///
+/// # Errors
+///
+/// The outcome's [`JobOutcome::kind`], with the error or panic message
+/// when there is one.
+pub fn completed_report(outcome: JobOutcome) -> Result<SynthesisReport, String> {
+    let kind = outcome.kind();
+    match outcome {
+        JobOutcome::Completed(report) => Ok(*report),
+        JobOutcome::Failed(e) => Err(format!("{kind}: {e}")),
+        JobOutcome::Panicked { message } => Err(format!("{kind}: {message}")),
+        JobOutcome::TimedOut { .. } | JobOutcome::Cancelled { .. } => Err(kind.to_string()),
+    }
+}
+
 /// Executes one planned cell against a resolved configuration: analysis,
 /// nominal simulation, fault simulation, classification.
 fn run_planned_cell(
     cell: &CampaignCell,
     system: &mcs_model::System,
-    config: mcs_model::SystemConfig,
+    config: SystemConfig,
 ) -> CellRecord {
     let eval = match evaluate(system, config, &cell.analysis) {
         Ok(eval) => eval,
@@ -560,6 +572,26 @@ mod tests {
             assert_eq!(replayed.len(), 1);
             assert_eq!(replayed[0].json_line(), record.json_line());
         }
+    }
+
+    #[test]
+    fn only_a_completed_synthesis_yields_a_configuration() {
+        use mcs_gen::figure4;
+        use mcs_model::Time;
+        use mcs_opt::{Sf, Synthesis};
+
+        let fig = figure4(Time::from_millis(240));
+        let report = Synthesis::builder(&fig.system)
+            .strategy(Sf)
+            .run()
+            .expect("figure 4 is analyzable");
+        let partial = JobOutcome::TimedOut {
+            partial: Some(Box::new(report.clone())),
+        };
+        assert_eq!(completed_report(partial).unwrap_err(), "timed_out");
+        let completed = completed_report(JobOutcome::Completed(Box::new(report.clone())))
+            .expect("a completed synthesis yields its report");
+        assert_eq!(completed.best.config, report.best.config);
     }
 
     #[test]

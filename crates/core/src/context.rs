@@ -623,13 +623,8 @@ pub struct Evaluator<'s> {
     has_run: bool,
     last_converged: bool,
     last_iterations: u32,
-    /// Whether the outer schedule↔analysis loop of the last run settled.
-    last_settled: bool,
     /// Cache slot holding the schedule of the last completed evaluation.
     last_sched_slot: usize,
-    /// Whether the final holistic pass of the last run reached stability
-    /// (as opposed to exhausting its iteration cap).
-    last_holistic_stable: bool,
     /// Monotone id of evaluation attempts, stamped into analysis snapshots.
     run_counter: u64,
     /// `run_counter` of the last evaluation that completed successfully —
@@ -800,9 +795,7 @@ impl<'s> Evaluator<'s> {
             has_run: false,
             last_converged: false,
             last_iterations: 0,
-            last_settled: false,
             last_sched_slot: 0,
-            last_holistic_stable: false,
             run_counter: 0,
             last_success_run: 0,
             success_config: None,
@@ -1001,8 +994,6 @@ impl<'s> Evaluator<'s> {
 
         // Queue bounds are needed only for the final analysis state.
         self.holistic(ttp_queue, grid_slack).queue_bounds();
-        self.last_settled = settled;
-        self.last_holistic_stable = holistic_stable;
         let summary = self.summarize(settled, iterations);
         self.last_success_run = run;
         match &mut self.success_config {
@@ -1103,9 +1094,7 @@ impl<'s> Evaluator<'s> {
         self.has_run = src.has_run;
         self.last_converged = src.last_converged;
         self.last_iterations = src.last_iterations;
-        self.last_settled = src.last_settled;
         self.last_sched_slot = src.last_sched_slot;
-        self.last_holistic_stable = src.last_holistic_stable;
         self.run_counter = src.run_counter;
         self.last_success_run = src.last_success_run;
         match (&mut self.success_config, &src.success_config) {

@@ -49,95 +49,55 @@ impl Default for SaParams {
     }
 }
 
-/// What an [`Sa`] run minimizes. `'c` is the borrow of a custom cost
-/// closure (`'static` for the built-in objectives).
-enum SaCost<'c> {
-    Objective(Objective),
-    Custom(Box<dyn Fn(&EvalSummary) -> f64 + Send + 'c>),
-}
-
-impl SaCost<'_> {
-    fn of(&self, summary: &EvalSummary) -> f64 {
-        match self {
-            SaCost::Objective(objective) => objective.cost(summary) as f64,
-            SaCost::Custom(f) => f(summary),
-        }
-    }
-}
-
 /// Simulated annealing as a [`Strategy`]: [`Sa::schedule`] (SAS) anneals on
-/// δΓ, [`Sa::resources`] (SAR) on `s_total`, [`Sa::custom`] on any summary
-/// cost (whose closure borrow is the `'c` parameter — `'static` for the
-/// built-in objectives). Starts from [`sa_start`] unless overridden with
-/// [`Sa::with_start`].
+/// δΓ, [`Sa::resources`] (SAR) on `s_total`. Starts from [`sa_start`].
 ///
 /// A seeded run is fully deterministic (see the
 /// [module docs](crate::synthesis) for the determinism contract); the
 /// budget truncates the iteration loop cooperatively. Re-running the same
-/// instance repeats the identical search (the start override is kept, not
-/// consumed).
-pub struct Sa<'c> {
+/// instance repeats the identical search.
+#[derive(Debug)]
+pub struct Sa {
     params: SaParams,
-    cost: SaCost<'c>,
-    start: Option<SystemConfig>,
-    name: &'static str,
+    objective: Objective,
 }
 
-impl<'c> std::fmt::Debug for Sa<'c> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sa").finish_non_exhaustive()
-    }
-}
-
-impl<'c> Sa<'c> {
+impl Sa {
     /// SA Schedule (SAS): anneals on δΓ.
-    pub fn schedule(params: SaParams) -> Sa<'static> {
+    pub fn schedule(params: SaParams) -> Sa {
         Sa {
             params,
-            cost: SaCost::Objective(Objective::Schedule),
-            start: None,
-            name: "SAS",
+            objective: Objective::Schedule,
         }
     }
 
     /// SA Resources (SAR): anneals on `s_total`, ranking unschedulable
     /// configurations after every schedulable one.
-    pub fn resources(params: SaParams) -> Sa<'static> {
+    pub fn resources(params: SaParams) -> Sa {
         Sa {
             params,
-            cost: SaCost::Objective(Objective::Resources),
-            start: None,
-            name: "SAR",
+            objective: Objective::Resources,
         }
     }
 
-    /// Anneals on an arbitrary summary cost.
-    pub fn custom(params: SaParams, cost: impl Fn(&EvalSummary) -> f64 + Send + 'c) -> Sa<'c> {
-        Sa {
-            params,
-            cost: SaCost::Custom(Box::new(cost)),
-            start: None,
-            name: "SA",
-        }
-    }
-
-    /// Overrides the start configuration (default: [`sa_start`]).
-    pub fn with_start(mut self, start: SystemConfig) -> Self {
-        self.start = Some(start);
-        self
+    fn cost(&self, summary: &EvalSummary) -> f64 {
+        self.objective.cost(summary) as f64
     }
 }
 
-impl Strategy for Sa<'_> {
+impl Strategy for Sa {
     fn name(&self) -> &'static str {
-        self.name
+        match self.objective {
+            Objective::Schedule => "SAS",
+            Objective::Resources => "SAR",
+        }
     }
 
     fn run(&mut self, ctx: &mut SearchCtx<'_, '_, '_>) -> Result<(), SynthesisError> {
         let system = ctx.system();
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let mut sampler = MoveSampler::new(system);
-        let mut config = self.start.clone().unwrap_or_else(|| sa_start(system));
+        let mut config = sa_start(system);
         let mut current = ctx.evaluate(&config)?;
         let mut best = current;
         ctx.record_incumbent(current, &config);
@@ -173,7 +133,7 @@ impl Strategy for Sa<'_> {
                 continue;
             };
             seeds.clear();
-            let delta = self.cost.of(&candidate) - self.cost.of(&current);
+            let delta = self.cost(&candidate) - self.cost(&current);
             let accept = delta <= 0.0 || {
                 let t = temperature.max(f64::MIN_POSITIVE);
                 rng.gen::<f64>() < (-delta / t).exp()
@@ -184,7 +144,7 @@ impl Strategy for Sa<'_> {
                 accepted: accept,
             });
             if accept {
-                if self.cost.of(&candidate) < self.cost.of(&best) {
+                if self.cost(&candidate) < self.cost(&best) {
                     best = candidate;
                     ctx.record_incumbent(candidate, &config);
                 }

@@ -114,8 +114,8 @@ pub use os::{recommended_lengths, Os, OsParams};
 pub use sampler::MoveSampler;
 pub use sensitivity::{criticality_ranking, wcet_slack, WcetSlack};
 pub use serve::{
-    best_record, run_batch, CancelCause, JobId, JobOutcome, JobRecord, JobSpec, RetryPolicy,
-    ServiceConfig, SubmitError, SynthesisService,
+    best_record, run_batch, JobId, JobOutcome, JobRecord, JobSpec, ServiceConfig, SubmitError,
+    SynthesisService,
 };
 pub use sf::{minimal_slot_capacities, straightforward_config, Sf};
 pub use synthesis::{

@@ -133,8 +133,8 @@ impl Default for Budget {
 pub enum BudgetAxis {
     /// The evaluation-count limit was reached.
     Evaluations,
-    /// The run's [`CancelToken`] was cancelled — explicitly, by preemption,
-    /// by shutdown or by a serving-layer deadline.
+    /// The run's [`CancelToken`] was cancelled — explicitly, by a
+    /// serving-layer deadline or by an immediate service shutdown.
     Cancelled,
 }
 
@@ -325,9 +325,6 @@ pub enum SynthesisError {
     /// The strategy finished without recording any incumbent (budget spent
     /// or cancelled before the first feasible candidate).
     NoIncumbent,
-    /// The run panicked and was isolated by the serving layer (see
-    /// [`crate::serve`]); the payload is the panic message.
-    Panicked(String),
     /// A [`Synthesis::resume_from`] continuation failed to reproduce the
     /// checkpoint trajectory — the strategy, its parameters, the analysis
     /// parameters or the system differ from the interrupted run.
@@ -346,7 +343,6 @@ impl std::fmt::Display for SynthesisError {
             SynthesisError::NoIncumbent => {
                 write!(f, "the strategy finished without recording an incumbent")
             }
-            SynthesisError::Panicked(message) => write!(f, "the strategy panicked: {message}"),
             SynthesisError::ResumeDivergence { matched, expected } => write!(
                 f,
                 "resume divergence: the continuation reproduced {matched} of {expected} \
@@ -836,14 +832,13 @@ impl<'s, 'a> Synthesis<'s, 'a> {
     }
 
     /// Continues an interrupted run from `checkpoint` — the partial
-    /// [`SynthesisReport`] of a run that was preempted, timed out or
-    /// cancelled.
+    /// [`SynthesisReport`] of a run that timed out or was cancelled.
     ///
     /// **Contract.** The continuation must be configured with the *same*
     /// system, analysis parameters and strategy (same parameters, same
     /// seed) as the interrupted run, and a budget covering the total work
     /// (e.g. the original evaluation limit, or [`Budget::UNLIMITED`]; a
-    /// serving-layer deadline restarts with the continuation's attempt and
+    /// serving-layer deadline restarts with the continuation's job and
     /// also covers its replay).
     /// Because every strategy is a pure function of its inputs, the
     /// continuation deterministically replays the interrupted prefix —
@@ -851,7 +846,7 @@ impl<'s, 'a> Synthesis<'s, 'a> {
     /// stream, working configuration, evaluator caches) — and then runs on,
     /// producing a report **bit-identical** to a never-interrupted run.
     /// This holds for *any* cut point, including nondeterministic
-    /// cancellations, preemptions and deadline cuts.
+    /// cancellations and deadline cuts.
     ///
     /// Two guarantees distinguish this from simply re-running:
     ///
@@ -966,7 +961,7 @@ mod tests {
     use mcs_gen::figure4;
     use mcs_model::Time;
 
-    fn quick_sa(seed: u64) -> Sa<'static> {
+    fn quick_sa(seed: u64) -> Sa {
         Sa::schedule(SaParams {
             iterations: 40,
             seed,

@@ -64,7 +64,7 @@ fn assert_bit_identical(context: &str, resumed: &SynthesisReport, full: &Synthes
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// SAS preempted at an arbitrary evaluation count and resumed is
+    /// SAS cut at an arbitrary evaluation count and resumed is
     /// bit-identical to the uninterrupted run.
     #[test]
     fn sas_resume_is_bit_identical(seed in 0u64..60, sa_seed in 0u64..8, cut in 1u64..60) {
@@ -92,7 +92,7 @@ proptest! {
         assert_bit_identical("SAS", &resumed, &full);
     }
 
-    /// The greedy OS synthesis preempted mid-sweep and resumed is
+    /// The greedy OS synthesis cut mid-sweep and resumed is
     /// bit-identical to the uninterrupted run.
     #[test]
     fn os_resume_is_bit_identical(seed in 0u64..40, cut in 1u64..40) {
@@ -225,7 +225,7 @@ fn wall_clock_cut_resumes_bit_identically() {
     let analysis = AnalysisParams::default();
     let params = quick_sa(3);
 
-    // A zero deadline fires as soon as the attempt starts; SAS sees it at
+    // A zero deadline fires as soon as the job starts; SAS sees it at
     // its first poll — after the start incumbent, so the partial report is
     // resumable.
     let cut = JobSpec::new(

@@ -1,10 +1,9 @@
 //! Robustness suite for the `mcs::serve` streaming service: panic
-//! isolation, retry with backoff, wall-clock deadlines, priority
-//! preemption with bit-identical resume, bounded-queue backpressure,
-//! graceful drain/shutdown, and picking a batch's winner.
+//! isolation, wall-clock deadlines with bit-identical resume,
+//! bounded-queue backpressure, graceful and immediate drain/shutdown, and
+//! picking a batch's winner.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -13,9 +12,9 @@ use mcs_gen::{generate, GeneratorParams};
 use mcs_model::System;
 use mcs_opt::synthesis::{SearchCtx, Strategy, SynthesisError};
 use mcs_opt::{
-    best_record, run_batch, Budget, BudgetAxis, CancelCause, JobOutcome, JobSpec, MoveSampler,
-    Objective, Os, OsParams, RetryPolicy, Sa, SaParams, ServiceConfig, Sf, SubmitError, Synthesis,
-    SynthesisReport, SynthesisService,
+    best_record, run_batch, Budget, BudgetAxis, JobOutcome, JobSpec, MoveSampler, Objective, Os,
+    OsParams, Sa, SaParams, ServiceConfig, Sf, SubmitError, Synthesis, SynthesisReport,
+    SynthesisService,
 };
 
 use rand::rngs::StdRng;
@@ -52,29 +51,11 @@ impl Strategy for Panicking {
     }
 }
 
-/// Panics on the first `failures` runs, then behaves like SF.
-struct Flaky {
-    failures: u32,
-    runs: Arc<AtomicU32>,
-}
-
-impl Strategy for Flaky {
-    fn name(&self) -> &'static str {
-        "FLAKY"
-    }
-    fn run(&mut self, ctx: &mut SearchCtx<'_, '_, '_>) -> Result<(), SynthesisError> {
-        if self.runs.fetch_add(1, Ordering::SeqCst) < self.failures {
-            panic!("transient failure");
-        }
-        Sf.run(ctx)
-    }
-}
-
 /// A deterministic annealer with a fixed per-iteration sleep: its search
 /// trajectory is a pure function of its seed (the sleeps only slow it
-/// down), so a preempted run can be compared bit-for-bit against an
+/// down), so a cut run can be compared bit-for-bit against an
 /// uninterrupted twin — while being slow enough that deadline and
-/// preemption tests never race job completion.
+/// shutdown tests never race job completion.
 struct SleepySearch {
     seed: u64,
     iterations: u32,
@@ -142,6 +123,24 @@ impl Strategy for Dawdler {
     }
 }
 
+/// Records the SA start configuration as its incumbent, says so on its
+/// channel, then dawdles until stopped — a running job that always has a
+/// partial report to hand back.
+struct Settled(mpsc::Sender<()>);
+
+impl Strategy for Settled {
+    fn name(&self) -> &'static str {
+        "SETTLED"
+    }
+    fn run(&mut self, ctx: &mut SearchCtx<'_, '_, '_>) -> Result<(), SynthesisError> {
+        let config = mcs_opt::sa_start(ctx.system());
+        let start = ctx.evaluate(&config)?;
+        ctx.record_incumbent(start, &config);
+        let _ = self.0.send(());
+        Dawdler.run(ctx)
+    }
+}
+
 fn spec(name: &str, system: &Arc<System>, strategy: impl Strategy + 'static) -> JobSpec {
     JobSpec::new(
         name,
@@ -152,7 +151,7 @@ fn spec(name: &str, system: &Arc<System>, strategy: impl Strategy + 'static) -> 
 }
 
 // ---------------------------------------------------------------------------
-// Panic isolation & retry
+// Panic isolation
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -182,7 +181,6 @@ fn panicking_job_is_isolated_and_every_other_job_completes() {
         );
     }
     let boom = &records[4];
-    assert_eq!(boom.attempts, 1);
     match &boom.outcome {
         JobOutcome::Panicked { message } => assert_eq!(message, "injected failure"),
         other => panic!("expected Panicked, got {}", other.kind()),
@@ -191,131 +189,6 @@ fn panicking_job_is_isolated_and_every_other_job_completes() {
     assert!(line.contains("\"outcome\": \"panicked\""), "{line}");
     assert!(line.contains("\"error\": \"injected failure\""), "{line}");
     assert!(line.contains("\"ok\": false"), "{line}");
-}
-
-#[test]
-fn retry_with_backoff_recovers_a_flaky_job() {
-    let system = Arc::new(small_system(2));
-    let service = SynthesisService::start(one_worker());
-    let runs = Arc::new(AtomicU32::new(0));
-    service
-        .try_submit(
-            spec(
-                "flaky",
-                &system,
-                Flaky {
-                    failures: 2,
-                    runs: Arc::clone(&runs),
-                },
-            )
-            .retry(RetryPolicy {
-                max_retries: 2,
-                backoff: Duration::from_millis(1),
-            }),
-        )
-        .unwrap();
-    let records = service.shutdown();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].attempts, 3);
-    assert_eq!(runs.load(Ordering::SeqCst), 3);
-    assert!(
-        matches!(records[0].outcome, JobOutcome::Completed(_)),
-        "expected the third attempt to complete, got {}",
-        records[0].outcome.kind()
-    );
-}
-
-#[test]
-fn retries_are_bounded() {
-    let system = Arc::new(small_system(2));
-    let service = SynthesisService::start(one_worker());
-    service
-        .try_submit(spec("boom", &system, Panicking).retry(RetryPolicy {
-            max_retries: 1,
-            backoff: Duration::from_millis(1),
-        }))
-        .unwrap();
-    let records = service.shutdown();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].attempts, 2);
-    assert!(matches!(records[0].outcome, JobOutcome::Panicked { .. }));
-}
-
-/// Submits a job that panics once and then would complete, with a long
-/// retry backoff, and waits until its first attempt has panicked and the
-/// backoff is under way.
-fn job_in_backoff(service: &SynthesisService, runs: &Arc<AtomicU32>) -> mcs_opt::JobId {
-    let system = Arc::new(small_system(2));
-    let id = service
-        .try_submit(
-            spec(
-                "flaky",
-                &system,
-                Flaky {
-                    failures: 1,
-                    runs: Arc::clone(runs),
-                },
-            )
-            .retry(RetryPolicy {
-                max_retries: 1,
-                backoff: Duration::from_millis(400),
-            }),
-        )
-        .unwrap();
-    while runs.load(Ordering::SeqCst) == 0 {
-        thread::sleep(Duration::from_millis(1));
-    }
-    thread::sleep(Duration::from_millis(50));
-    id
-}
-
-#[test]
-fn cancel_during_retry_backoff_stops_the_job() {
-    let service = SynthesisService::start(one_worker());
-    let runs = Arc::new(AtomicU32::new(0));
-    let id = job_in_backoff(&service, &runs);
-    assert!(service.cancel(id), "a job in backoff is still running");
-    let records = service.shutdown();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].attempts, 1);
-    assert_eq!(runs.load(Ordering::SeqCst), 1, "no retry after the cancel");
-    assert!(
-        matches!(
-            records[0].outcome,
-            JobOutcome::Cancelled {
-                partial: None,
-                cause: CancelCause::Explicit,
-            }
-        ),
-        "expected Cancelled without partial, got {}",
-        records[0].outcome.kind()
-    );
-}
-
-#[test]
-fn immediate_shutdown_reaches_a_job_in_retry_backoff() {
-    let service = SynthesisService::start(one_worker());
-    let runs = Arc::new(AtomicU32::new(0));
-    job_in_backoff(&service, &runs);
-    let records = service.shutdown_now();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].attempts, 1);
-    assert_eq!(
-        runs.load(Ordering::SeqCst),
-        1,
-        "no retry after the shutdown"
-    );
-    assert!(
-        matches!(
-            records[0].outcome,
-            JobOutcome::Cancelled {
-                partial: None,
-                cause: CancelCause::Shutdown,
-            }
-        ),
-        "expected Cancelled without partial, got {}",
-        records[0].outcome.kind()
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -420,11 +293,11 @@ fn deadline_fires_inside_a_resume_replay() {
 }
 
 // ---------------------------------------------------------------------------
-// Preemption & resume
+// Resume
 // ---------------------------------------------------------------------------
 
 #[test]
-fn preempted_job_resumes_bit_identical_to_an_uninterrupted_run() {
+fn timed_out_job_resumes_bit_identical_to_an_uninterrupted_run() {
     let system = Arc::new(small_system(4));
     let sleepy = || SleepySearch {
         seed: 9,
@@ -433,44 +306,26 @@ fn preempted_job_resumes_bit_identical_to_an_uninterrupted_run() {
     };
 
     let service = SynthesisService::start(one_worker());
-    let low = service
-        .try_submit(spec("low", &system, sleepy()).priority(0))
-        .unwrap();
-    while service.running() == 0 {
-        thread::sleep(Duration::from_millis(1));
-    }
-    thread::sleep(Duration::from_millis(40));
-    // Every worker is busy: this submission preempts the running
-    // lower-priority search.
     service
-        .try_submit(spec("high", &system, Sf).priority(5))
+        .try_submit(spec("cut", &system, sleepy()).deadline(Duration::from_millis(60)))
         .unwrap();
     let mut records = service.shutdown();
-    records.sort_by_key(|r| r.id);
-    assert_eq!(records.len(), 2);
-    assert_eq!(records[0].id, low);
+    assert_eq!(records.len(), 1);
     let partial = match records.remove(0).outcome {
-        JobOutcome::Cancelled {
+        JobOutcome::TimedOut {
             partial: Some(partial),
-            cause: CancelCause::Preempted,
         } => partial,
         other => panic!(
-            "expected the low-priority job preempted with a partial, got {}",
+            "expected the search cut with a partial, got {}",
             other.kind()
         ),
     };
-    assert!(
-        matches!(records[0].outcome, JobOutcome::Completed(_)),
-        "the high-priority job completes"
-    );
 
-    // Resume the preempted search through the service and compare to an
+    // Resume the cut search through the service and compare to an
     // uninterrupted twin.
-    let service = SynthesisService::start(one_worker());
-    service
-        .try_submit(spec("low/resumed", &system, sleepy()).resume_from(*partial))
-        .unwrap();
-    let mut records = service.shutdown();
+    let mut records = run_batch(vec![
+        spec("cut/resumed", &system, sleepy()).resume_from(*partial)
+    ]);
     let resumed = match records.remove(0).outcome {
         JobOutcome::Completed(report) => report,
         other => panic!(
@@ -505,11 +360,11 @@ fn bounded_queue_pushes_back_on_the_producer() {
     let service = SynthesisService::start(ServiceConfig {
         workers: 1,
         queue_capacity: 1,
-        ..ServiceConfig::default()
     });
-    // Occupy the single worker, then fill the single queue slot.
-    let blocker = service
-        .try_submit(spec("blocker", &system, Dawdler))
+    // Occupy the single worker until its deadline, then fill the single
+    // queue slot.
+    service
+        .try_submit(spec("blocker", &system, Dawdler).deadline(Duration::from_millis(100)))
         .unwrap();
     while service.running() == 0 {
         thread::sleep(Duration::from_millis(1));
@@ -522,27 +377,21 @@ fn bounded_queue_pushes_back_on_the_producer() {
     };
     assert_eq!(job.name(), "rejected");
 
-    let timed_out = service.submit(*job, Duration::from_millis(30));
-    assert!(
-        matches!(timed_out, Err(SubmitError::Timeout(_))),
-        "the queue stays full while the blocker runs"
-    );
-
-    // Unblock: the dawdler is cancelled, the queued job runs, and a
-    // subsequent blocking submit finds room.
-    assert!(service.cancel(blocker));
-    let accepted = service.submit(timed_out.unwrap_err().into_job(), Duration::from_secs(10));
-    assert!(accepted.is_ok(), "space frees up once the blocker dies");
+    // Unblock: the dawdler times out, the queued job starts, and the
+    // rejected job finds room on resubmission.
+    while service.pending() > 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+    service
+        .try_submit(*job)
+        .expect("space frees up once the blocker ends");
 
     let mut records = service.shutdown();
     records.sort_by_key(|r| r.id);
     assert_eq!(records.len(), 3);
     assert!(matches!(
         records[0].outcome,
-        JobOutcome::Cancelled {
-            cause: CancelCause::Explicit,
-            ..
-        }
+        JobOutcome::TimedOut { partial: None }
     ));
     assert!(matches!(records[1].outcome, JobOutcome::Completed(_)));
     assert!(matches!(records[2].outcome, JobOutcome::Completed(_)));
@@ -600,33 +449,46 @@ fn immediate_shutdown_cancels_queued_and_running_jobs() {
     let mut records = service.shutdown_now();
     records.sort_by_key(|r| r.id);
     assert_eq!(records.len(), 4);
-    assert!(matches!(
-        records[0].outcome,
-        JobOutcome::Cancelled {
-            cause: CancelCause::Shutdown,
-            ..
-        }
-    ));
+    assert!(matches!(records[0].outcome, JobOutcome::Cancelled { .. }));
     for record in &records[1..] {
-        assert_eq!(record.attempts, 0, "{}: never ran", record.name);
+        assert_eq!(record.elapsed_micros, 0, "{}: never ran", record.name);
         assert!(matches!(
             record.outcome,
-            JobOutcome::Cancelled {
-                partial: None,
-                cause: CancelCause::Shutdown,
-            }
+            JobOutcome::Cancelled { partial: None }
         ));
     }
 }
 
 #[test]
-fn submissions_after_shutdown_are_rejected() {
+fn immediate_shutdown_hands_back_a_running_search_partial_report() {
+    let system = Arc::new(small_system(4));
+    let service = SynthesisService::start(one_worker());
+    let (ready, settled) = mpsc::channel();
+    service
+        .try_submit(spec("running", &system, Settled(ready)))
+        .unwrap();
+    settled.recv().expect("the job records an incumbent");
+    let records = service.shutdown_now();
+    assert_eq!(records.len(), 1);
+    match &records[0].outcome {
+        JobOutcome::Cancelled {
+            partial: Some(report),
+        } => {
+            assert_eq!(
+                report.exhausted_by,
+                Some(BudgetAxis::Cancelled),
+                "the shutdown stops the run through its cancel token"
+            );
+            assert!(report.exhausted);
+        }
+        other => panic!("expected Cancelled with partial, got {}", other.kind()),
+    }
+}
+
+#[test]
+fn evaluation_budget_exhaustion_is_a_completion() {
     let system = Arc::new(small_system(6));
     let service = SynthesisService::start(one_worker());
-    // Shutting down from another handle is not possible (shutdown consumes
-    // the service), so exercise the accepting flag via drop ordering:
-    // cancel + shutdown_now leaves no window — instead check the
-    // eval-budget classification along the way.
     service
         .try_submit(
             spec(
@@ -692,7 +554,7 @@ fn experiment_runner_reports_structured_failures_instead_of_aborting() {
 // Picking a batch's winner
 // ---------------------------------------------------------------------------
 
-fn quick_sa(seed: u64) -> Sa<'static> {
+fn quick_sa(seed: u64) -> Sa {
     Sa::schedule(SaParams {
         iterations: 40,
         seed,

@@ -1,7 +1,8 @@
-//! Streaming service demo: enqueue a mixed-priority batch of generated
-//! instances on a deliberately tiny worker pool, watch a high-priority
-//! submission preempt a running low-priority search, resume the preempted
-//! search bit-identically, and stream every outcome as a JSON line.
+//! Streaming service demo: submit a batch of generated instances to a small
+//! worker pool, stream every outcome as a JSON line while the batch runs,
+//! let a wall-clock deadline cut the long anneals, and resume each cut
+//! search through `run_batch` — the continuation replays the interrupted
+//! prefix and ends exactly where a never-interrupted run would.
 //!
 //! Run with `cargo run --release --example service_demo`.
 
@@ -9,18 +10,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mcs::prelude::*;
-use mcs::serve::{CancelCause, JobOutcome, JobSpec, ServiceConfig, SynthesisService};
+use mcs::serve::{JobOutcome, JobSpec, ServiceConfig, SynthesisService};
 
 fn main() {
-    // A small pool so the priority queue and preemption actually bite.
     let service = SynthesisService::start(ServiceConfig {
         workers: 2,
         queue_capacity: 16,
-        ..ServiceConfig::default()
     });
 
-    // A mixed-priority batch: one long low-priority anneal per instance,
-    // with a couple of urgent OS jobs arriving later.
+    // One long anneal and one quick OS job per instance; the anneals get a
+    // deadline well short of their natural run time.
     let analysis = AnalysisParams::default();
     let systems: Vec<Arc<System>> = (0..4)
         .map(|seed| Arc::new(generate(&GeneratorParams::paper_sized(2, seed))))
@@ -32,53 +31,43 @@ fn main() {
             ..SaParams::default()
         })
     };
+    let mut submitted = 0;
     for (i, system) in systems.iter().enumerate() {
-        service
-            .try_submit(
-                JobSpec::new(
-                    format!("background/{i}"),
-                    Arc::clone(system),
-                    analysis,
-                    sa(i as u64),
-                )
-                .priority(0)
-                .deadline(Duration::from_secs(30)),
-            )
-            .expect("queue has room");
+        let anneal = JobSpec::new(
+            format!("sas/{i}"),
+            Arc::clone(system),
+            analysis,
+            sa(i as u64),
+        )
+        .deadline(Duration::from_millis(200));
+        let os = JobSpec::new(
+            format!("os/{i}"),
+            Arc::clone(system),
+            analysis,
+            Os::new(OsParams::default()),
+        );
+        for job in [anneal, os] {
+            service.try_submit(job).expect("queue has room");
+            submitted += 1;
+        }
     }
     println!(
-        "submitted {} background jobs; {} running, {} queued",
-        systems.len(),
+        "submitted {submitted} jobs; {} running, {} queued",
         service.running(),
         service.pending()
     );
 
-    // Urgent work arrives: with every worker busy, each submission
-    // preempts the weakest running background search.
-    for (i, system) in systems.iter().take(2).enumerate() {
-        service
-            .try_submit(
-                JobSpec::new(
-                    format!("urgent/{i}"),
-                    Arc::clone(system),
-                    analysis,
-                    Os::new(OsParams::default()),
-                )
-                .priority(5),
-            )
-            .expect("queue has room");
-    }
-
-    // Stream records as they complete and collect preempted checkpoints.
-    let mut preempted: Vec<(String, u64, Box<SynthesisReport>)> = Vec::new();
-    let mut records = service.shutdown();
-    records.sort_by_key(|record| record.id);
+    // Stream records as they complete and keep every cut anneal's partial
+    // report.
     println!("\nfirst pass:");
-    for record in records {
+    let mut cut: Vec<(usize, Box<SynthesisReport>)> = Vec::new();
+    for _ in 0..submitted {
+        let record = service
+            .next_record(Duration::from_secs(600))
+            .expect("every submitted job ends in a record");
         println!("{}", record.json_line());
-        if let JobOutcome::Cancelled {
+        if let JobOutcome::TimedOut {
             partial: Some(partial),
-            cause: CancelCause::Preempted,
         } = record.outcome
         {
             let seed = record
@@ -86,42 +75,39 @@ fn main() {
                 .rsplit('/')
                 .next()
                 .and_then(|s| s.parse().ok())
-                .expect("background job names end in their seed");
-            preempted.push((record.name, seed, partial));
+                .expect("anneal names end in their seed");
+            cut.push((seed, partial));
         }
     }
+    service.shutdown();
 
-    // Second pass: resume every preempted search from its checkpoint. The
+    // Second pass: resume every cut anneal from its partial report. The
     // continuation replays the interrupted prefix deterministically and
     // produces a report bit-identical to a never-interrupted run.
-    if preempted.is_empty() {
-        println!("\nno job was preempted (fast machine?) — nothing to resume");
+    if cut.is_empty() {
+        println!("\nno anneal hit its deadline (fast machine?) — nothing to resume");
         return;
     }
-    let service = SynthesisService::start(ServiceConfig {
-        workers: 2,
-        queue_capacity: 16,
-        ..ServiceConfig::default()
-    });
-    for (name, seed, checkpoint) in preempted {
-        let evaluations = checkpoint.evaluations;
-        service
-            .try_submit(
-                JobSpec::new(
-                    format!("{name}/resumed"),
-                    Arc::clone(&systems[seed as usize]),
-                    analysis,
-                    sa(seed),
-                )
-                .resume_from(*checkpoint),
+    cut.sort_by_key(|(seed, _)| *seed);
+    println!();
+    let jobs = cut
+        .into_iter()
+        .map(|(seed, checkpoint)| {
+            println!(
+                "resuming sas/{seed} from evaluation {}",
+                checkpoint.evaluations
+            );
+            JobSpec::new(
+                format!("sas/{seed}/resumed"),
+                Arc::clone(&systems[seed]),
+                analysis,
+                sa(seed as u64),
             )
-            .expect("queue has room");
-        println!("\nresuming {name} from evaluation {evaluations}");
-    }
-    let mut records = service.shutdown();
-    records.sort_by_key(|record| record.id);
+            .resume_from(*checkpoint)
+        })
+        .collect();
     println!("\nsecond pass:");
-    for record in records {
+    for record in run_batch(jobs) {
         println!("{}", record.json_line());
     }
 }

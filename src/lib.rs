@@ -23,9 +23,8 @@
 //!
 //! [`synth`] is the synthesis front door: a [`Strategy`](synth::Strategy)-
 //! driven [`Synthesis`](synth::Synthesis) builder that runs one search.
-//! [`serve`] is the resilient streaming service on top — bounded submission
-//! queue, per-job deadlines and priorities with preemption, panic isolation
-//! with retry, and resumable jobs
+//! [`serve`] is the streaming service on top — bounded FIFO queue, per-job
+//! deadlines, panic isolation and resumable jobs
 //! ([`SynthesisService`](serve::SynthesisService)) — and serves static
 //! batches of jobs through [`run_batch`](serve::run_batch); a batch of
 //! strategies on one instance picks its winner with
