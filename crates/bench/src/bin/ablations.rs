@@ -1,4 +1,4 @@
-//! Quality ablations for the design choices called out in DESIGN.md §6:
+//! Quality ablations for three design choices of the analysis and synthesis:
 //!
 //! 1. HOPA vs. straightforward (index-order) priority assignment inside the
 //!    same TDMA configuration;

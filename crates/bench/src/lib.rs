@@ -1,40 +1,41 @@
 //! # mcs-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§6). Each figure has a binary:
+//! evaluation (§6), plus the soundness campaigns. Each has a binary:
 //!
-//! | target | reproduces |
-//! |---|---|
-//! | `fig4_example` | the Figure 4 worked example (three configurations ψ) |
-//! | `fig9a` | Fig 9a — δΓ deviation of SF and OS from the SAS reference |
-//! | `fig9b` | Fig 9b — average total buffer need of OS, OR, SAR |
-//! | `fig9c` | Fig 9c — buffer deviation from SAR vs inter-cluster traffic |
-//! | `fig9mp` | the Fig-9c sweep on multi-period (`{1, 2, 4}`) instances |
-//! | `cruise` | the §6 cruise-controller table |
+//! | target | reproduces | flags |
+//! |---|---|---|
+//! | `fig4_example` | the Figure 4 worked example (three configurations ψ) | none |
+//! | `fig9a` | Fig 9a — δΓ deviation of SF and OS from the SAS reference | `--seeds`, `--sa-iters`, `--paper-scale`, `--jsonl` |
+//! | `fig9b` | Fig 9b — average total buffer need of OS, OR, SAR | `--seeds`, `--sa-iters`, `--paper-scale`, `--jsonl` |
+//! | `fig9c` | Fig 9c — buffer deviation from SAR vs inter-cluster traffic | `--seeds`, `--sa-iters`, `--paper-scale`, `--jsonl` |
+//! | `fig9mp` | the Fig-9c sweep on multi-period (`{1, 2, 4}` and `{1, 8}`) instances | `--seeds`, `--sa-iters`, `--paper-scale`, `--jsonl` |
+//! | `cruise` | the §6 cruise-controller table, with its run-time line | `--sa-iters` |
+//! | `ablations` | HOPA vs index-order priorities, the two `Out_TTP` bounds, OR's seed pool | `--seeds` |
+//! | `fault_campaign` | the seeded fault-injection soundness campaign | `--smoke`, `--cells`, `--seed`, `--activations`, `--os-one-in`, `--cell`, `--jsonl` |
+//! | `fuzz_soundness` | analysis vs simulator on `40 × max(seeds, 5)` random systems | `--seeds` |
 //!
-//! Criterion benches (`cargo bench -p mcs-bench`) measure the §6 run-time
-//! claims (heuristics vs simulated annealing), the frozen
-//! [`seed_baseline`] evaluation vs fresh-per-call vs context-reuse
-//! evaluation (`evaluator_reuse`), and full vs delta evaluation over an SA
-//! move trace — on the single-period Fig-9c instance (`delta_rta`) and on
-//! its multi-period `{1, 2, 4}` counterpart (`delta_rta_multiperiod`);
-//! each emits its evaluations/second into `BENCH_core.json` via
-//! [`record_bench_section`]. The search-level ablations live in the
-//! `optimization` bench.
-//!
-//! All binaries accept `--seeds N` (instances per point, default 5; the
-//! paper used 30) and `--sa-iters N` (SA budget per instance, default 200;
-//! the paper ran hours-long anneals). `--paper-scale` selects 30 seeds and
-//! 2000 SA iterations. The `fig9*` sweeps additionally write one
-//! machine-readable [`JobRecord`] JSON line per (instance × strategy) run —
-//! to `BENCH_<figure>.jsonl` in the workspace root ([`output_path`]), or
-//! the `--jsonl PATH` override — alongside their text tables.
+//! `--seeds N` sets the instances per point (default 5; the paper used 30)
+//! and `--sa-iters N` the SA budget per instance (default 200; the paper
+//! ran hours-long anneals). `--paper-scale` selects 30 seeds and 2000 SA
+//! iterations. The `fig9*` sweeps additionally write one machine-readable
+//! [`JobRecord`] JSON line per (instance × strategy) run — to
+//! `BENCH_<figure>.jsonl` in the workspace root ([`output_path`]), or the
+//! `--jsonl PATH` override — alongside their text tables; each record's
+//! `elapsed_micros` is that run's wall time, the §6 heuristics-vs-annealing
+//! run-time comparison. The binaries built on [`ExperimentOptions`] accept
+//! all four of its flags; the table lists those that change the run.
+//! `fault_campaign`'s flags are documented on the binary.
 //!
 //! The sweeps are batches of (instance × strategy) [`mcs_opt::JobSpec`]s
 //! served by [`mcs_opt::run_batch`]: embarrassingly parallel, dynamically
 //! load-balanced across cores (set `RAYON_NUM_THREADS` to cap the
 //! workers), with records collected in submission order — so parallel
 //! output is identical to a sequential run.
+//!
+//! Run times layer by layer are measured by the `perfbench` package at the
+//! repository root (see its README), not here; it checks every output
+//! against [`seed_baseline`], the frozen seed evaluator kept in this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -131,8 +132,7 @@ impl ExperimentOptions {
     }
 
     /// The JSON-lines record path for `figure`: the `--jsonl` override, or
-    /// `BENCH_<figure>.jsonl` in the workspace root ([`output_path`], next
-    /// to the text tables and `BENCH_core.json`).
+    /// `BENCH_<figure>.jsonl` in the workspace root ([`output_path`]).
     pub fn jsonl_path(&self, figure: &str) -> PathBuf {
         match &self.jsonl {
             Some(path) => path.into(),
@@ -181,54 +181,6 @@ pub fn write_jsonl(path: &Path, records: &[JobRecord]) {
     match writer.finish() {
         Ok(_) => println!("recorded {n} experiment records in {}", path.display()),
         Err(e) => eprintln!("could not flush {}: {e}", path.display()),
-    }
-}
-
-/// Records one bench section into `BENCH_core.json` (the workspace root
-/// of [`output_path`], or the `BENCH_CORE_JSON` path), merging with
-/// whatever other sections are already there. The file is a flat object with one single-line JSON
-/// object per section:
-///
-/// ```json
-/// {
-///   "evaluator_reuse": {...},
-///   "delta_rta": {...}
-/// }
-/// ```
-///
-/// `body` must be the section's single-line `{...}` object. Unparseable
-/// content (e.g. the pre-PR-2 single-object format) is discarded.
-pub fn record_bench_section(name: &str, body: &str) {
-    let path = std::env::var("BENCH_CORE_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| output_path("BENCH_core.json"));
-    let mut sections: Vec<(String, String)> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        for line in existing.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if let Some((key, value)) = line.split_once(':') {
-                let key = key.trim().trim_matches('"');
-                let value = value.trim();
-                if !key.is_empty() && value.starts_with('{') && value.ends_with('}') {
-                    sections.push((key.to_string(), value.to_string()));
-                }
-            }
-        }
-    }
-    match sections.iter_mut().find(|(k, _)| k == name) {
-        Some((_, value)) => *value = body.to_string(),
-        None => sections.push((name.to_string(), body.to_string())),
-    }
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in sections.iter().enumerate() {
-        let comma = if i + 1 < sections.len() { "," } else { "" };
-        out.push_str(&format!("  \"{key}\": {value}{comma}\n"));
-    }
-    out.push_str("}\n");
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("could not write {}: {e}", path.display());
-    } else {
-        println!("recorded bench section {name:?} in {}", path.display());
     }
 }
 

@@ -234,12 +234,10 @@ impl Config {
     pub fn workspace_default() -> Self {
         Config {
             wall_clock_allow: vec![
-                // The serving layer: deadlines, backoff, elapsed accounting.
+                // The serving layer: job deadlines and elapsed accounting.
                 "crates/opt/src/serve.rs".into(),
                 // Bench timing (tables record wall-clock by design).
                 "crates/bench/".into(),
-                // The criterion shim IS a timer.
-                "shims/criterion/".into(),
                 // Demos may report elapsed time.
                 "examples/".into(),
             ],
@@ -250,9 +248,7 @@ impl Config {
     fn wall_clock_allowed(&self, path: &str) -> bool {
         self.wall_clock_allow.iter().any(|p| path.starts_with(p))
             || path.contains("/tests/")
-            || path.contains("/benches/")
             || path.starts_with("tests/")
-            || path.starts_with("benches/")
     }
 
     fn panic_guarded(&self, path: &str) -> bool {

@@ -250,7 +250,8 @@ struct SeedPool {
 impl SeedPool {
     fn new(limit: usize) -> Self {
         SeedPool {
-            limit: limit.max(2),
+            // The incumbent is always handed over, even at a limit of 0.
+            limit: limit.max(1),
             by_degree: Vec::new(),
             by_buffers: Vec::new(),
         }
@@ -338,6 +339,22 @@ mod tests {
         let fig = figure4(Time::from_millis(240));
         let (best, _, _) = run_os(&fig.system);
         assert!(best.is_schedulable());
+    }
+
+    #[test]
+    fn a_seed_limit_of_one_hands_over_only_the_incumbent() {
+        // Here the smallest-buffer schedulable configuration differs from
+        // the incumbent, so a pool raised to two seeds would carry it too.
+        let system = generate(&GeneratorParams::paper_sized(4, 7));
+        let mut strategy = Os::new(OsParams {
+            seed_limit: 1,
+            ..OsParams::default()
+        });
+        let report = Synthesis::builder(&system)
+            .strategy(&mut strategy)
+            .run()
+            .expect("analyzable");
+        assert_eq!(strategy.take_seeds(), vec![report.best.config]);
     }
 
     #[test]

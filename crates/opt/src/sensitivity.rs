@@ -46,8 +46,8 @@ impl WcetSlack {
 ///
 /// The search covers `[C, scale_limit × C]`; `resolution` bounds the binary
 /// search granularity (the result is within `resolution` of the true
-/// boundary). Returns `None` if the system is not schedulable even at the
-/// current WCET.
+/// boundary; a zero resolution searches to the tick). Returns `None` if
+/// the system is not schedulable even at the current WCET.
 pub fn wcet_slack(
     system: &System,
     config: &SystemConfig,
@@ -83,8 +83,11 @@ pub fn wcet_slack(
             max_wcet: hi,
         });
     }
-    while hi.saturating_sub(lo) > resolution {
-        let mid = Time::from_ticks(lo.ticks() / 2 + hi.ticks() / 2);
+    let tick = Time::from_ticks(1);
+    while hi.saturating_sub(lo) > resolution.max(tick) {
+        // `lo/2 + hi/2` rounds down to `lo` when both are odd and two ticks
+        // apart; step at least one tick so the bracket always shrinks.
+        let mid = Time::from_ticks(lo.ticks() / 2 + hi.ticks() / 2).max(lo.saturating_add(tick));
         if schedulable_with(mid) {
             lo = mid;
         } else {
@@ -158,6 +161,33 @@ mod tests {
         .expect("schedulable");
         assert!(p1.slack() < p3.slack(), "P1 {:?} vs P3 {:?}", p1, p3);
         assert!(p1.max_wcet >= p1.wcet);
+    }
+
+    #[test]
+    fn a_zero_resolution_search_terminates() {
+        // Run on a thread so that a search that never narrows fails the
+        // test instead of hanging the suite; a thread that does not return
+        // is left detached.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let search = std::thread::spawn(move || {
+            let fig = figure4(Time::from_millis(240));
+            let analysis = AnalysisParams::default();
+            let slack = wcet_slack(
+                &fig.system,
+                &fig.config_b,
+                &analysis,
+                figure4_ids::P1,
+                8,
+                Time::ZERO,
+            );
+            let _ = tx.send(slack);
+        });
+        let slack = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a zero-resolution search returns")
+            .expect("schedulable");
+        search.join().expect("the search thread does not panic");
+        assert!(slack.max_wcet >= slack.wcet);
     }
 
     #[test]

@@ -105,9 +105,9 @@ use crate::synthesis::{
 /// Configuration of a [`SynthesisService`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads in the pool. Default: `RAYON_NUM_THREADS` if set
-    /// (the knob the batch sweeps already document), else
-    /// [`std::thread::available_parallelism`].
+    /// Worker threads in the pool. Default: [`rayon::current_num_threads`]
+    /// — `RAYON_NUM_THREADS` if set (the knob the batch sweeps already
+    /// document), else [`std::thread::available_parallelism`].
     pub workers: usize,
     /// Maximum queued (not yet running) jobs; submissions beyond it hit
     /// backpressure. Default 64.
@@ -116,17 +116,8 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let workers = std::env::var("RAYON_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
         ServiceConfig {
-            workers,
+            workers: rayon::current_num_threads(),
             queue_capacity: 64,
         }
     }

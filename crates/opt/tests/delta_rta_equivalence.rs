@@ -10,10 +10,15 @@
 //! from the full fixed point, and this suite would catch it.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use mcs_core::{AnalysisParams, DeltaSeeds, Evaluator};
+use mcs_core::{AnalysisParams, DeltaSeeds, EvalSummary, Evaluator};
 use mcs_gen::{generate, GeneratorParams};
-use mcs_opt::{evaluate, hopa_priorities, neighborhood, straightforward_config};
+use mcs_model::{System, SystemConfig};
+use mcs_opt::{
+    evaluate, hopa_priorities, neighborhood, sa_start, straightforward_config, Move, MoveSampler,
+    SaParams,
+};
 
 fn small_system(seed: u64) -> mcs_model::System {
     let mut p = GeneratorParams::paper_sized(2, seed);
@@ -196,4 +201,100 @@ fn priority_swap_walk_stays_identical_and_hits_the_delta_path() {
         delta_hits > 0,
         "the delta fast path was never taken ({delta_hits} delta vs {full} full)"
     );
+}
+
+/// Samples `len` SAS moves from `start`, each with the Metropolis decision
+/// on δΓ that `SaParams::default()`'s temperature schedule and seed make —
+/// the SAS loop, recorded so that two evaluation paths can replay it.
+fn sas_trace(system: &System, start: &SystemConfig, len: usize) -> Vec<(Move, bool)> {
+    let sa = SaParams::default();
+    let mut rng = StdRng::seed_from_u64(sa.seed);
+    let mut evaluator = Evaluator::new(system, AnalysisParams::default());
+    let mut sampler = MoveSampler::new(system);
+    let mut config = start.clone();
+    let mut current = evaluator.evaluate(&config).expect("analyzable");
+    let mut temperature = sa.initial_temperature;
+    let mut trace = Vec::new();
+    while trace.len() < len {
+        let Some(mv) = sampler.sample(system, &config, &evaluator, &current, &mut rng) else {
+            break;
+        };
+        let undo = mv.apply_undoable(&mut config);
+        temperature *= sa.cooling;
+        let accept = match evaluator.evaluate(&config) {
+            Ok(candidate) => {
+                let delta = (candidate.schedule_cost() - current.schedule_cost()) as f64;
+                let accept = delta <= 0.0
+                    || rng.gen::<f64>() < (-delta / temperature.max(f64::MIN_POSITIVE)).exp();
+                if accept {
+                    current = candidate;
+                }
+                accept
+            }
+            Err(_) => false,
+        };
+        if !accept {
+            undo.revert(&mut config);
+        }
+        trace.push((mv, accept));
+    }
+    trace
+}
+
+/// Replays `trace` from `start` through `evaluate_delta` (or, with `delta`
+/// off, through `evaluate`), keeping accepted moves and reverting the rest
+/// as the search loops do. Returns the last feasible summary and the
+/// evaluator's `delta_stats()`.
+fn replay(
+    system: &System,
+    start: &SystemConfig,
+    trace: &[(Move, bool)],
+    delta: bool,
+) -> (EvalSummary, (u64, u64)) {
+    let mut evaluator = Evaluator::new(system, AnalysisParams::default());
+    let mut config = start.clone();
+    let mut seeds = DeltaSeeds::new();
+    let mut last = evaluator.evaluate(&config).expect("analyzable");
+    for &(mv, accepted) in trace {
+        let undo = mv.apply_undoable_seeded(&mut config, &mut seeds);
+        let result = if delta {
+            evaluator.evaluate_delta(&config, &seeds)
+        } else {
+            evaluator.evaluate(&config)
+        };
+        if let Ok(summary) = result {
+            seeds.clear();
+            last = summary;
+            if accepted {
+                continue;
+            }
+        }
+        undo.record_seeds(&mut seeds);
+        undo.revert(&mut config);
+    }
+    (last, evaluator.delta_stats())
+}
+
+/// A 300-move SAS trace on the Fig-9c instance (160 processes, 10
+/// inter-cluster messages), single-rate and `{1, 2, 4}` multi-rate: the
+/// delta replay ends where the full one does, and the split of its
+/// holistic passes between the restricted delta pass and the full fixed
+/// point stays where it was recorded. A change that makes the delta path
+/// fall back more often, or restrict where it did not, moves the split.
+#[test]
+fn fig9c_sa_trace_keeps_its_delta_pass_split() {
+    for (mut params, split) in [
+        (GeneratorParams::paper_sized(4, 1_000), (528, 72)),
+        (GeneratorParams::multi_rate(4, 1_000), (556, 44)),
+    ] {
+        params.inter_cluster_messages = Some(10);
+        let system = generate(&params);
+        let start = sa_start(&system);
+        let trace = sas_trace(&system, &start, 300);
+        assert_eq!(trace.len(), 300);
+        let (full, _) = replay(&system, &start, &trace, false);
+        let (delta, passes) = replay(&system, &start, &trace, true);
+        assert_eq!(delta, full, "the delta replay drifted from the full one");
+        assert_eq!(passes, split, "(delta, full) holistic passes");
+    }
 }

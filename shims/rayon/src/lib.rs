@@ -2,7 +2,7 @@
 //!
 //! The build environment cannot reach crates.io, so this crate provides the
 //! data-parallel subset the experiment harness uses — `into_par_iter()` /
-//! `par_iter()` with `map(...).collect()`, plus [`join`] — implemented with
+//! `par_iter()` with `map(...).collect()` — implemented with
 //! `std::thread::scope` and a work queue for dynamic load balancing (the
 //! per-seed synthesis runs it parallelizes vary widely in cost).
 //!
@@ -23,33 +23,10 @@ pub mod prelude {
 
 pub mod iter;
 
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(b);
-        let ra = a();
-        let rb = handle.join().expect("rayon shim: joined task panicked");
-        (ra, rb)
-    })
-}
-
 /// The number of worker threads parallel iterators will use —
 /// `RAYON_NUM_THREADS` if set, else the machine's available parallelism.
 /// Mirrors `rayon::current_num_threads`.
 pub fn current_num_threads() -> usize {
-    num_threads()
-}
-
-pub(crate) fn num_threads() -> usize {
     std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -69,7 +46,7 @@ where
     F: Fn(T) -> O + Sync,
 {
     let n = items.len();
-    let workers = num_threads().min(n.max(1));
+    let workers = current_num_threads().min(n.max(1));
     if workers <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -108,13 +85,6 @@ mod tests {
         let items = vec![1u32, 2, 3, 4];
         let sums: Vec<u32> = items.par_iter().map(|&x| x + 10).collect();
         assert_eq!(sums, vec![11, 12, 13, 14]);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = crate::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
     }
 
     #[test]
