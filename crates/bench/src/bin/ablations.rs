@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use mcs_bench::{cell, mean, point_reports, ExperimentOptions};
+use mcs_bench::{cell, mean, point_reports, ExperimentOptions, Flag};
 use mcs_core::{multi_cluster_scheduling, AnalysisParams, FifoBound};
 use mcs_gen::{generate, GeneratorParams};
 use mcs_opt::{
@@ -22,7 +22,7 @@ use mcs_opt::{
 };
 
 fn main() {
-    let options = ExperimentOptions::from_args();
+    let options = ExperimentOptions::from_args(&[Flag::Seeds]);
     let analysis = AnalysisParams::default();
 
     println!("Ablation 1 — priority assignment (δΓ cost; lower is better)");

@@ -11,13 +11,13 @@
 
 use std::sync::Arc;
 
-use mcs_bench::{point_reports, ExperimentOptions};
+use mcs_bench::{point_reports, ExperimentOptions, Flag};
 use mcs_core::AnalysisParams;
 use mcs_gen::cruise_controller;
 use mcs_opt::{run_batch, JobSpec, Or, OrParams, Os, OsParams, Sa, SaParams, Sf};
 
 fn main() {
-    let options = ExperimentOptions::from_args();
+    let options = ExperimentOptions::from_args(&[Flag::SaIters]);
     let analysis = AnalysisParams::default();
     let cc = cruise_controller();
     let graph = cc.system.application.graphs()[0].id();

@@ -14,7 +14,9 @@
 
 use std::sync::Arc;
 
-use mcs_bench::{cell, mean, percent_deviation, point_reports, write_jsonl, ExperimentOptions};
+use mcs_bench::{
+    cell, mean, percent_deviation, point_reports, write_jsonl, ExperimentOptions, Flag,
+};
 use mcs_core::AnalysisParams;
 use mcs_gen::{generate, GeneratorParams};
 use mcs_opt::{run_batch, JobSpec, Os, OsParams, Sa, SaParams, Sf};
@@ -22,7 +24,7 @@ use mcs_opt::{run_batch, JobSpec, Os, OsParams, Sa, SaParams, Sf};
 const NODE_COUNTS: [usize; 5] = [2, 4, 6, 8, 10];
 
 fn main() {
-    let options = ExperimentOptions::from_args();
+    let options = ExperimentOptions::from_args(&Flag::ALL);
     let analysis = AnalysisParams::default();
     let mut jobs = Vec::new();
     for nodes in NODE_COUNTS {

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use mcs_bench::{cell, mean, point_reports, write_jsonl, ExperimentOptions};
+use mcs_bench::{cell, mean, point_reports, write_jsonl, ExperimentOptions, Flag};
 use mcs_core::AnalysisParams;
 use mcs_gen::{generate, GeneratorParams};
 use mcs_opt::{run_batch, JobSpec, Or, OrParams, Os, Sa, SaParams};
@@ -21,7 +21,7 @@ use mcs_opt::{run_batch, JobSpec, Or, OrParams, Os, Sa, SaParams};
 const NODE_COUNTS: [usize; 5] = [2, 4, 6, 8, 10];
 
 fn main() {
-    let options = ExperimentOptions::from_args();
+    let options = ExperimentOptions::from_args(&Flag::ALL);
     let analysis = AnalysisParams::default();
     let mut jobs = Vec::new();
     for nodes in NODE_COUNTS {

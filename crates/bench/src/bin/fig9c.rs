@@ -9,11 +9,11 @@
 //! sequential sweep. Each record is also emitted as a JSON line (see
 //! `--jsonl`).
 
-use mcs_bench::{run_deviation_sweep, write_jsonl, ExperimentOptions, SweepRow};
+use mcs_bench::{run_deviation_sweep, write_jsonl, ExperimentOptions, Flag, SweepRow};
 use mcs_gen::GeneratorParams;
 
 fn main() {
-    let options = ExperimentOptions::from_args();
+    let options = ExperimentOptions::from_args(&Flag::ALL);
     println!("Figure 9c — avg % deviation of s_total from SAR, 160 processes");
     let rows: Vec<SweepRow> = [10usize, 20, 30, 40, 50]
         .into_iter()

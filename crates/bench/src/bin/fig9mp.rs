@@ -19,7 +19,7 @@
 //! sequential sweep. Each record is also emitted as a JSON line (see
 //! `--jsonl`).
 
-use mcs_bench::{run_deviation_sweep, write_jsonl, ExperimentOptions, SweepRow};
+use mcs_bench::{run_deviation_sweep, write_jsonl, ExperimentOptions, Flag, SweepRow};
 use mcs_gen::GeneratorParams;
 
 fn sweep_rows(
@@ -43,7 +43,7 @@ fn sweep_rows(
 }
 
 fn main() {
-    let options = ExperimentOptions::from_args();
+    let options = ExperimentOptions::from_args(&Flag::ALL);
     println!("Figure 9 (multi-period) — avg % deviation of s_total from SAR,");
     println!("160 processes, period multipliers {{1, 2, 4}}");
     let rows = sweep_rows(&options, "mp124", |seed| {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mcs_bench::campaign::completed_report;
-use mcs_bench::ExperimentOptions;
+use mcs_bench::{ExperimentOptions, Flag};
 use mcs_core::{AnalysisParams, FifoBound};
 use mcs_gen::{generate, Distribution, GeneratorParams};
 use mcs_model::{System, SystemConfig};
@@ -95,8 +95,8 @@ fn check(system: &System, config: &SystemConfig, analysis: &AnalysisParams, labe
 }
 
 fn main() {
-    let options = ExperimentOptions::from_args();
-    let campaigns = options.seeds.max(5) * 40;
+    let options = ExperimentOptions::from_args(&[Flag::Seeds]);
+    let campaigns = options.seeds * 40;
 
     // Generate every instance and batch its OS synthesis.
     let mut instances = Vec::with_capacity(campaigns as usize);

@@ -13,7 +13,7 @@
 //! | `cruise` | the §6 cruise-controller table, with its run-time line | `--sa-iters` |
 //! | `ablations` | HOPA vs index-order priorities, the two `Out_TTP` bounds, OR's seed pool | `--seeds` |
 //! | `fault_campaign` | the seeded fault-injection soundness campaign | `--smoke`, `--cells`, `--seed`, `--activations`, `--os-one-in`, `--cell`, `--jsonl` |
-//! | `fuzz_soundness` | analysis vs simulator on `40 × max(seeds, 5)` random systems | `--seeds` |
+//! | `fuzz_soundness` | analysis vs simulator on `40 × seeds` random systems | `--seeds` |
 //!
 //! `--seeds N` sets the instances per point (default 5; the paper used 30)
 //! and `--sa-iters N` the SA budget per instance (default 200; the paper
@@ -23,9 +23,9 @@
 //! `BENCH_<figure>.jsonl` in the workspace root ([`output_path`]), or the
 //! `--jsonl PATH` override — alongside their text tables; each record's
 //! `elapsed_micros` is that run's wall time, the §6 heuristics-vs-annealing
-//! run-time comparison. The binaries built on [`ExperimentOptions`] accept
-//! all four of its flags; the table lists those that change the run.
-//! `fault_campaign`'s flags are documented on the binary.
+//! run-time comparison. Each binary built on [`ExperimentOptions`] accepts
+//! exactly the flags the table lists for it and refuses any other with the
+//! usage message. `fault_campaign`'s flags are documented on the binary.
 //!
 //! The sweeps are batches of (instance × strategy) [`mcs_opt::JobSpec`]s
 //! served by [`mcs_opt::run_batch`]: embarrassingly parallel, dynamically
@@ -92,43 +92,90 @@ impl Default for ExperimentOptions {
     }
 }
 
+/// One command-line flag of [`ExperimentOptions`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// `--seeds N`: instances per data point.
+    Seeds,
+    /// `--sa-iters N`: simulated-annealing iterations per instance.
+    SaIters,
+    /// `--paper-scale`: 30 seeds and 2000 SA iterations.
+    PaperScale,
+    /// `--jsonl PATH`: the JSON-lines record path.
+    Jsonl,
+}
+
+impl Flag {
+    /// Every flag: what the `fig9*` sweeps accept.
+    pub const ALL: [Flag; 4] = [Flag::Seeds, Flag::SaIters, Flag::PaperScale, Flag::Jsonl];
+
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Seeds => "--seeds N",
+            Flag::SaIters => "--sa-iters N",
+            Flag::PaperScale => "--paper-scale",
+            Flag::Jsonl => "--jsonl PATH",
+        }
+    }
+}
+
 impl ExperimentOptions {
-    /// Parses the conventional flags from `std::env::args`.
+    /// Parses `std::env::args`, accepting only the `accepted` flags: a
+    /// binary lists the flags that change its run, so a flag it would
+    /// ignore is refused instead of silently doing nothing.
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags.
-    pub fn from_args() -> Self {
+    /// On a malformed or unaccepted flag, prints the usage message and
+    /// exits with status 2.
+    pub fn from_args(accepted: &[Flag]) -> Self {
+        Self::parse(std::env::args().skip(1), accepted).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    fn parse(args: impl IntoIterator<Item = String>, accepted: &[Flag]) -> Result<Self, String> {
         let mut options = ExperimentOptions::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--paper-scale" => {
+            let flag = match arg.as_str() {
+                "--seeds" => Some(Flag::Seeds),
+                "--sa-iters" => Some(Flag::SaIters),
+                "--paper-scale" => Some(Flag::PaperScale),
+                "--jsonl" => Some(Flag::Jsonl),
+                _ => None,
+            };
+            let Some(flag) = flag.filter(|flag| accepted.contains(flag)) else {
+                let supported: Vec<&str> = accepted.iter().map(|flag| flag.usage()).collect();
+                return Err(format!(
+                    "unknown flag {arg}; supported: {}",
+                    supported.join(", ")
+                ));
+            };
+            match flag {
+                Flag::PaperScale => {
                     options.seeds = 30;
                     options.sa_iters = 2_000;
                 }
-                "--seeds" => {
+                Flag::Seeds => {
                     options.seeds = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--seeds takes a positive integer");
+                        .filter(|&n| n > 0)
+                        .ok_or("--seeds takes a positive integer")?;
                 }
-                "--sa-iters" => {
+                Flag::SaIters => {
                     options.sa_iters = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--sa-iters takes a positive integer");
+                        .filter(|&n| n > 0)
+                        .ok_or("--sa-iters takes a positive integer")?;
                 }
-                "--jsonl" => {
-                    options.jsonl = Some(args.next().expect("--jsonl takes a path"));
+                Flag::Jsonl => {
+                    options.jsonl = Some(args.next().ok_or("--jsonl takes a path")?);
                 }
-                other => panic!(
-                    "unknown flag {other}; supported: --seeds N, --sa-iters N, \
-                     --paper-scale, --jsonl PATH"
-                ),
             }
         }
-        options
+        Ok(options)
     }
 
     /// The JSON-lines record path for `figure`: the `--jsonl` override, or
@@ -306,6 +353,44 @@ pub fn cell(value: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn options_refuse_flags_the_binary_does_not_use() {
+        let sweep =
+            ExperimentOptions::parse(args("--seeds 3 --sa-iters 7 --jsonl out"), &Flag::ALL);
+        assert_eq!(
+            sweep,
+            Ok(ExperimentOptions {
+                seeds: 3,
+                sa_iters: 7,
+                jsonl: Some("out".into()),
+            })
+        );
+        assert_eq!(
+            ExperimentOptions::parse(args("--seeds 1"), &[Flag::Seeds]),
+            Ok(ExperimentOptions {
+                seeds: 1,
+                ..ExperimentOptions::default()
+            })
+        );
+        let refused = ExperimentOptions::parse(args("--seeds 1 --sa-iters 5"), &[Flag::Seeds]);
+        assert_eq!(
+            refused,
+            Err("unknown flag --sa-iters; supported: --seeds N".to_string())
+        );
+        for line in ["--jsonl out", "--paper-scale", "--bogus"] {
+            let refused = ExperimentOptions::parse(args(line), &[Flag::SaIters]);
+            assert!(refused.is_err(), "{line} must be refused");
+        }
+        for line in ["--seeds x", "--seeds 0", "--sa-iters 0", "--seeds"] {
+            let refused = ExperimentOptions::parse(args(line), &Flag::ALL);
+            assert!(refused.is_err(), "{line} must be refused");
+        }
+    }
 
     #[test]
     fn mean_handles_empty_and_nonempty() {

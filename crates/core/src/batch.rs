@@ -15,17 +15,20 @@
 //!    computed once — by whatever evaluation anchored the primary — and
 //!    distributed to the lanes by an allocation-reusing state copy, never
 //!    re-derived per candidate.
-//! 2. **Divergent tails, in lockstep.** Each candidate's dirty-cone replay
-//!    (the restricted RTA passes of [`crate::delta`]) runs in its own
-//!    *lane*: a private fixed-point state over the dense structure-of-array
-//!    entity tables. Lanes are independent, so the tails run data-parallel
-//!    with rayon (`par_iter_mut` across lanes), each lane working on its
-//!    own slice of SoA vectors.
+//! 2. **Divergent tails, one worker each.** Each candidate's dirty-cone
+//!    replay (the restricted RTA passes of [`crate::delta`]) runs in a
+//!    *lane*: a private evaluator over the dense structure-of-array entity
+//!    tables. There is one lane per rayon worker, not one per candidate:
+//!    each lane claims the next unclaimed candidate from a shared counter,
+//!    mirrors the base state if the candidate takes the delta path, and
+//!    evaluates it, until no candidate is left. Candidates differ
+//!    several-fold in cost, so claiming them one at a time keeps the
+//!    workers busy to the end of the batch.
 //!
 //! [`BatchScratch`] holds the lanes. Like the evaluator's own `Scratch`,
-//! lanes are **cleared, not reallocated** between batches: the first batch
-//! pays the allocation, every later batch of any width reuses the same
-//! fixed-point vectors.
+//! lanes are **reused, not reallocated** between batches: the first batch
+//! pays the allocation, every later batch reuses the same fixed-point
+//! vectors, and a batch never builds more lanes than there are workers.
 //!
 //! # Determinism: bit-identical to sequential delta evaluation
 //!
@@ -33,10 +36,12 @@
 //! prior layer — is that `evaluate_batch` returns **bit-identical** results
 //! to N sequential [`Evaluator::evaluate_delta`] calls made from the same
 //! base state: same summaries (δΓ, `s_total`, convergence metadata) and
-//! same infeasibility verdicts. This holds because each lane evaluates its
-//! candidate against the same base fixed point a sequential call would
-//! extend, and the delta path itself is bit-identical to the full fixed
-//! point. Results are returned in request order, independent of worker
+//! same infeasibility verdicts. This holds because a lane evaluates each
+//! delta candidate against the same base fixed point a sequential call
+//! would extend, the delta path itself is bit-identical to the full fixed
+//! point, and a full evaluation depends on its configuration alone. So no
+//! result depends on which lane ran the candidate or what that lane ran
+//! before. Results are returned in request order, independent of worker
 //! scheduling.
 //!
 //! # When batching degrades to sequential work
@@ -48,8 +53,8 @@
 //! without prefix reuse. A batch of such candidates (e.g. OS's slot scans)
 //! is still evaluated in parallel across lanes, but each lane performs the
 //! full fixed point: the win is then core-level parallelism, not shared
-//! work. With one lane (width 1, or `RAYON_NUM_THREADS=1`) the batch is
-//! exactly the sequential loop, results included.
+//! work. With one lane (width 1, or `RAYON_NUM_THREADS=1`) one evaluator
+//! runs every candidate in request order.
 
 use mcs_model::SystemConfig;
 
@@ -70,10 +75,10 @@ pub struct BatchRequest {
     pub seeds: DeltaSeeds,
 }
 
-/// The reusable lane state of [`Evaluator::evaluate_batch`]: N lanes, one
-/// private evaluator (own scratch, schedule memos and snapshots) per
-/// in-flight candidate, cleared — not reallocated — between batches (see
-/// the module docs above).
+/// The reusable lane state of [`Evaluator::evaluate_batch`]: one private
+/// evaluator (own scratch, schedule memos and snapshots) per worker
+/// thread, reused — not reallocated — across batches (see the module docs
+/// above).
 ///
 /// A `BatchScratch` is bound to the system and analysis parameters of the
 /// evaluator that uses it; passing it to an evaluator of a different system
@@ -95,7 +100,8 @@ impl<'s> BatchScratch<'s> {
         BatchScratch { lanes: Vec::new() }
     }
 
-    /// Number of lanes currently allocated (the high-water batch width).
+    /// Number of lanes currently allocated: the widest batch seen, capped
+    /// at the worker count.
     pub fn lanes(&self) -> usize {
         self.lanes.len()
     }

@@ -51,6 +51,7 @@
 //! `mcs-bench`.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mcs_model::{MessageId, MessageRoute, NodeId, ProcessId, System, SystemConfig, Time};
 use mcs_ttp::{
@@ -640,9 +641,6 @@ pub struct Evaluator<'s> {
     /// start / messages whose frame placement moved in the rebuild.
     diff_procs: Vec<ProcessId>,
     diff_msgs: Vec<MessageId>,
-    /// Whether any non-structural delta evaluation has been requested:
-    /// only then are per-iteration analysis snapshots worth stamping.
-    delta_live: bool,
     /// Holistic passes served by a dirty-cone delta / by a full re-analysis.
     delta_evals: u64,
     full_evals: u64,
@@ -802,7 +800,6 @@ impl<'s> Evaluator<'s> {
             sched_tmp: TtcSchedule::new(),
             diff_procs: Vec::new(),
             diff_msgs: Vec::new(),
-            delta_live: false,
             delta_evals: 0,
             full_evals: 0,
         }
@@ -969,17 +966,12 @@ impl<'s> Evaluator<'s> {
                 }
             }
             analyzed = Some(slot);
-            // Snapshots are only consumed by delta evaluations, so pure
-            // full-path consumers (one-shot analyses, the structural OS
-            // search) skip the copies; once a search has made one
-            // non-structural delta call, every evaluation — including
-            // interleaved structural moves and full rematerializations —
-            // keeps stamping fresh baselines for the next delta call.
-            if delta_seeds.is_some() || self.delta_live {
-                self.sched_cache[slot]
-                    .analysis
-                    .save(&self.scratch, run, holistic_stable);
-            }
+            // Every evaluation stamps its baseline, so the first delta call
+            // after any evaluation (say, a search's full start evaluation)
+            // can extend it.
+            self.sched_cache[slot]
+                .analysis
+                .save(&self.scratch, run, holistic_stable);
             // Re-derive the release lower bounds from the analysis.
             self.derive_releases(config);
             let s = &mut self.scratch;
@@ -1052,9 +1044,6 @@ impl<'s> Evaluator<'s> {
         config: &SystemConfig,
         seeds: &DeltaSeeds,
     ) -> Result<EvalSummary, AnalysisError> {
-        if !seeds.is_structural() {
-            self.delta_live = true;
-        }
         if !self.delta_applicable(config, seeds) {
             return self.evaluate(config);
         }
@@ -1101,25 +1090,28 @@ impl<'s> Evaluator<'s> {
             (Some(dst), Some(src_cfg)) => dst.clone_from(src_cfg),
             (dst, src_cfg) => *dst = src_cfg.clone(),
         }
-        self.delta_live = src.delta_live;
         self.delta_evals = src.delta_evals;
         self.full_evals = src.full_evals;
     }
 
     /// Evaluates a whole batch of sibling candidates against this
-    /// evaluator's state, data-parallel across the lanes of `scratch`.
+    /// evaluator's state, data-parallel across the lanes of `scratch`: one
+    /// lane per worker thread (`min(rayon::current_num_threads(), n)`),
+    /// each claiming the next unclaimed candidate until none is left.
     ///
     /// Each request is evaluated exactly as
     /// [`evaluate_delta`](Self::evaluate_delta)`(&req.config, &req.seeds)`
     /// would evaluate it from this evaluator's *current* state (the shared
-    /// base): a lane whose candidate passes the delta preconditions mirrors
-    /// the base's converged state (the shared prefix, distributed by
-    /// allocation-reusing copy) and re-climbs only its own dirty cone (the
-    /// divergent tail); any other candidate takes the full fixed point in
-    /// its lane. Results come back in request order and are **bit-identical**
-    /// to N sequential `evaluate_delta` calls from this base state — see
-    /// the [`BatchScratch`] docs for the contract and when batching
-    /// degrades to sequential work.
+    /// base): for a candidate that passes the delta preconditions, its lane
+    /// first mirrors the base's converged state (the shared prefix,
+    /// distributed by allocation-reusing copy) and re-climbs only the
+    /// candidate's own dirty cone (the divergent tail); any other candidate
+    /// takes the full fixed point, which depends on its configuration
+    /// alone. So no result depends on which lane ran it or on what that
+    /// lane ran before. Results come back in request order and are
+    /// **bit-identical** to N sequential `evaluate_delta` calls from this
+    /// base state — see the [`BatchScratch`] docs for the contract and
+    /// when batching degrades to sequential work.
     ///
     /// The primary state is left untouched (only the aggregate
     /// [`delta_stats`](Self::delta_stats) absorb the lanes' holistic-pass
@@ -1145,14 +1137,9 @@ impl<'s> Evaluator<'s> {
         }) {
             scratch.lanes.clear();
         }
-        while scratch.lanes.len() < requests.len() {
+        let width = rayon::current_num_threads().min(requests.len());
+        while scratch.lanes.len() < width {
             scratch.lanes.push(Evaluator::new(self.system, self.params));
-        }
-        // Mirror `evaluate_delta`'s latch on the primary: once a search
-        // issues non-structural delta work, every primary evaluation keeps
-        // stamping snapshot baselines for the next delta call.
-        if requests.iter().any(|r| !r.seeds.is_structural()) {
-            self.delta_live = true;
         }
         // Plan on the shared base *before* the lanes run: applicability is
         // a property of (base state, candidate), identical for every lane.
@@ -1161,40 +1148,48 @@ impl<'s> Evaluator<'s> {
             .map(|r| self.delta_applicable(&r.config, &r.seeds))
             .collect();
         let primary: &Evaluator<'s> = self;
-        // Each lane returns its result plus its `(delta, full)`
-        // holistic-pass increments, folded into the primary aggregate below.
-        let lane_runs: Vec<(Result<EvalSummary, AnalysisError>, (u64, u64))> = scratch.lanes
-            [..requests.len()]
+        // Candidates differ several-fold in cost (a delta replay against a
+        // full fixed point), so lanes claim them one at a time. The counter
+        // only hands out indices; it publishes no data, hence `Relaxed`.
+        let next = AtomicUsize::new(0);
+        // Each lane returns, per candidate it ran, the candidate's index,
+        // its result and its `(delta, full)` holistic-pass increments.
+        type LaneRun = (usize, Result<EvalSummary, AnalysisError>, (u64, u64));
+        let lane_runs: Vec<Vec<LaneRun>> = scratch.lanes[..width]
             .par_iter_mut()
-            .enumerate()
-            .map(|(i, lane)| {
-                let req = &requests[i];
-                if plans[i] {
-                    // The sync overwrites the lane's pass counters with the
-                    // primary aggregate, so the baseline is read after it.
-                    lane.clone_state_from(primary);
-                } else if !req.seeds.is_structural() {
-                    // Full path: no base state needed — but keep the
-                    // delta-live latch consistent with the sequential call.
-                    lane.delta_live = true;
+            .map(|lane| {
+                let mut runs = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(req) = requests.get(i) else {
+                        break runs;
+                    };
+                    if plans[i] {
+                        // The sync overwrites the lane's pass counters with
+                        // the primary aggregate, so the baseline is read
+                        // after it.
+                        lane.clone_state_from(primary);
+                    }
+                    let (d0, f0) = lane.delta_stats();
+                    let result = if plans[i] {
+                        lane.evaluate_delta(&req.config, &req.seeds)
+                    } else {
+                        lane.evaluate(&req.config)
+                    };
+                    let (d1, f1) = lane.delta_stats();
+                    runs.push((i, result, (d1 - d0, f1 - f0)));
                 }
-                let (d0, f0) = lane.delta_stats();
-                let result = if plans[i] {
-                    lane.evaluate_delta(&req.config, &req.seeds)
-                } else {
-                    lane.evaluate(&req.config)
-                };
-                let (d1, f1) = lane.delta_stats();
-                (result, (d1 - d0, f1 - f0))
             })
             .collect();
-        let mut results = Vec::with_capacity(requests.len());
-        for (result, (delta, full)) in lane_runs {
-            self.delta_evals += delta;
-            self.full_evals += full;
-            results.push(result);
-        }
-        results
+        let mut runs: Vec<LaneRun> = lane_runs.into_iter().flatten().collect();
+        runs.sort_unstable_by_key(|run| run.0);
+        runs.into_iter()
+            .map(|(_, result, (delta, full))| {
+                self.delta_evals += delta;
+                self.full_evals += full;
+                result
+            })
+            .collect()
     }
 
     /// Whether the delta preconditions hold for `config`: non-structural

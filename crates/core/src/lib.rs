@@ -46,9 +46,9 @@
 //! [`Evaluator::evaluate_batch`] lifts the same contract to whole candidate
 //! *neighborhoods*: N sibling configurations share the base's converged
 //! state once and re-climb their divergent tails data-parallel across
-//! reusable [`BatchScratch`] lanes — bit-identical to N sequential
-//! [`Evaluator::evaluate_delta`] calls from the same base state (see the
-//! [`batch`](self) module docs on `BatchRequest`/`BatchScratch`).
+//! reusable [`BatchScratch`] lanes, one per worker — bit-identical to N
+//! sequential [`Evaluator::evaluate_delta`] calls from the same base state
+//! (see the [`batch`](self) module docs on `BatchRequest`/`BatchScratch`).
 //!
 //! # Examples
 //!

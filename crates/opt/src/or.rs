@@ -78,7 +78,8 @@ impl Or {
         }
     }
 
-    /// Step-level details of the last run (`None` before any run).
+    /// Step-level details of the last run (`None` before any run, and
+    /// after a run cut before step 1 recorded an incumbent).
     pub fn details(&self) -> Option<&OrDetails> {
         self.details.as_ref()
     }
@@ -103,12 +104,13 @@ impl Strategy for Or {
         os.run(ctx)?;
         let os_evaluations = ctx.evaluations();
         let os_seeds = os.take_seeds();
-        let (os_summary, os_config) = {
-            let (summary, config) = ctx
-                .incumbent()
-                .expect("the OS strategy always records an incumbent");
-            (*summary, config.clone())
+        // OS records an incumbent unless the run was cut before any
+        // position committed; then there is nothing to climb from.
+        let Some((&os_summary, os_config)) = ctx.incumbent() else {
+            self.details = None;
+            return Ok(());
         };
+        let os_config = os_config.clone();
         // Materialize the step-1 incumbent (one extra analysis) so the
         // details carry its full outcome, as the legacy pipeline did.
         let check = ctx.evaluate(&os_config)?;
@@ -148,9 +150,9 @@ impl Strategy for Or {
                     // consume in scan order: per-candidate results, budget
                     // accounting and the event stream are exactly the
                     // sequential loop's.
-                    ctx.evaluate_candidates(&current.config, &seeds, &sampled);
+                    let width = ctx.evaluate_candidates(&current.config, &seeds, &sampled);
                     let mut best_neighbor: Option<(EvalSummary, SystemConfig)> = None;
-                    for index in 0..sampled.len() {
+                    for index in 0..width {
                         if ctx.exhausted() {
                             break;
                         }

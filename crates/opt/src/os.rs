@@ -84,8 +84,9 @@ pub fn recommended_lengths(system: &System, node: NodeId) -> Vec<u32> {
 /// Infeasible intermediate configurations (a candidate length below the
 /// node's largest frame can never occur by construction, but e.g. a
 /// degenerate architecture could fail scheduling) are skipped rather than
-/// propagated; the straightforward configuration guarantees at least one
-/// feasible evaluation.
+/// propagated; a sweep that runs to its end with no feasible candidate
+/// falls back to the straightforward configuration. A run cut before its
+/// first position commits records no incumbent.
 #[derive(Debug, Default)]
 pub struct Os {
     params: OsParams,
@@ -139,10 +140,12 @@ impl Strategy for Os {
         // Candidate counts per tried `j`, reused across positions.
         let mut groups: Vec<(usize, usize)> = Vec::new();
 
+        let mut cut = false;
         'positions: for position in 0..slots.len() {
             if ctx.exhausted() {
                 // Between candidates the slot vector is consistent;
                 // keep whatever the committed prefix achieved.
+                cut = true;
                 break 'positions;
             }
             // Fan out the whole position scan as one batch: every remaining
@@ -176,6 +179,7 @@ impl Strategy for Os {
             let mut index = 0;
             for (group, &(j, count)) in groups.iter().enumerate() {
                 if group > 0 && ctx.exhausted() {
+                    cut = true;
                     break 'positions;
                 }
                 for _ in 0..count {
@@ -226,6 +230,13 @@ impl Strategy for Os {
 
         let best_config = match best {
             Some((_, config)) => config,
+            // Cut before any position committed: no incumbent. The
+            // uninterrupted sweep never evaluates the fallback at this
+            // point, so evaluating it would make the cut run unresumable.
+            None if cut => {
+                self.seeds.clear();
+                return Ok(());
+            }
             None => {
                 // Degenerate fallback: evaluate the straightforward
                 // configuration.

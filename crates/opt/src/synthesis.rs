@@ -515,9 +515,11 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
     // sequential loop would have performed it. Results are bit-identical to
     // sequential `evaluate_delta` calls from the same base state
     // ([`Evaluator::evaluate_batch`]), so the strategy's decisions — and
-    // with them the whole event stream — are unchanged; candidates that are
-    // never consumed (budget exhausted mid-scan) simply never existed as far
-    // as the budget and the observers are concerned.
+    // with them the whole event stream — are unchanged. A candidate that is
+    // evaluated but never consumed (a cancellation mid-scan, or a queued
+    // batch running past the budget) never existed as far as the budget and
+    // the observers are concerned; `evaluate_candidates` evaluates no
+    // candidate past the evaluation budget in the first place.
 
     /// Starts a fresh candidate batch, clearing any previous one (request
     /// slots and lanes keep their allocations).
@@ -555,8 +557,12 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
     /// Convenience fan-out for move-generated neighborhoods: builds one
     /// candidate per move — `base` with the move applied, seeding
     /// `carried` (the seeds accumulated since the last completed
-    /// evaluation) plus the move's own seeds — and evaluates the whole
-    /// batch. Returns the batch width.
+    /// evaluation) plus the move's own seeds — and evaluates the batch.
+    ///
+    /// Only the leading moves that fit in the evaluations left in the
+    /// budget become candidates: consuming them all exhausts the budget,
+    /// so the rest could never be consumed. Returns that width, which the
+    /// strategy consumes up to.
     pub fn evaluate_candidates(
         &mut self,
         base: &SystemConfig,
@@ -564,7 +570,9 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
         moves: &[Move],
     ) -> usize {
         self.begin_candidates();
-        for (index, mv) in moves.iter().enumerate() {
+        let left = self.budget.max_evaluations.saturating_sub(self.evaluations);
+        let fits = usize::try_from(left).unwrap_or(usize::MAX);
+        for (index, mv) in moves.iter().take(fits).enumerate() {
             if self.batch_requests.len() <= index {
                 self.batch_requests.push(BatchRequest::default());
             }
@@ -845,8 +853,15 @@ impl<'s, 'a> Synthesis<'s, 'a> {
     /// re-deriving the search state the checkpoint cannot carry (RNG
     /// stream, working configuration, evaluator caches) — and then runs on,
     /// producing a report **bit-identical** to a never-interrupted run.
-    /// This holds for *any* cut point, including nondeterministic
-    /// cancellations and deadline cuts.
+    /// This holds for *any* cut point of the SF, SA and OS strategies,
+    /// including nondeterministic cancellations and deadline cuts.
+    ///
+    /// An [`Or`](crate::Or) run cut inside its hill climb is **not**
+    /// resumable: each climb step accepts the best neighbour of its scan,
+    /// so a cut that truncates the scan can record an incumbent the
+    /// uninterrupted run never records, and the continuation then fails
+    /// with [`SynthesisError::ResumeDivergence`]. Making it resumable would
+    /// change what budget-cut OR runs return.
     ///
     /// Two guarantees distinguish this from simply re-running:
     ///
@@ -1049,6 +1064,51 @@ mod tests {
             assert!(line.contains("\"ok\": true"));
             assert!(!line.contains('\n'));
         }
+    }
+
+    /// Evaluates the start configuration, then fans its whole
+    /// neighborhood out as one candidate batch.
+    struct NeighborhoodBatch {
+        moves: usize,
+        width: usize,
+    }
+
+    impl Strategy for NeighborhoodBatch {
+        fn name(&self) -> &'static str {
+            "neighborhood-batch"
+        }
+        fn run(&mut self, ctx: &mut SearchCtx<'_, '_, '_>) -> Result<(), SynthesisError> {
+            let start = crate::sa_start(ctx.system());
+            let summary = ctx.evaluate(&start)?;
+            ctx.record_incumbent(summary, &start);
+            let current = materialize(ctx.evaluator(), start, summary);
+            let moves = crate::neighborhood(ctx.system(), &current);
+            self.moves = moves.len();
+            self.width = ctx.evaluate_candidates(&current.config, &DeltaSeeds::new(), &moves);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn candidate_batches_stop_at_the_budget() {
+        let system = mcs_gen::generate(&mcs_gen::GeneratorParams::paper_sized(2, 1));
+        let mut probe = NeighborhoodBatch { moves: 0, width: 0 };
+        Synthesis::builder(&system)
+            .strategy(&mut probe)
+            .budget(Budget::evals(5))
+            .run()
+            .expect("analyzable");
+        assert!(probe.moves >= 20, "only {} moves", probe.moves);
+        assert_eq!(probe.width, 4, "one evaluation spent, four left");
+
+        Synthesis::builder(&system)
+            .strategy(&mut probe)
+            .run()
+            .expect("analyzable");
+        assert_eq!(
+            probe.width, probe.moves,
+            "an unlimited budget fits them all"
+        );
     }
 
     #[test]

@@ -152,6 +152,12 @@ proptest! {
 
         prop_assert_eq!(&results, &expected);
         let (d1, f1) = batched.delta_stats();
+        // The primary stamped its baseline in `evaluate(&base)`, so lanes
+        // extend it for every non-structural candidate: the comparison
+        // above really pits the delta path against the full one.
+        if requests.iter().any(|r| !r.seeds.is_structural()) {
+            prop_assert!(d1 > d0, "no lane took the delta path ({} full passes)", f1 - f0);
+        }
 
         // Each result — and each lane's holistic-pass count, folded into the
         // primary's aggregate — matches a from-base reference evaluator

@@ -284,8 +284,8 @@ fn replay(
 #[test]
 fn fig9c_sa_trace_keeps_its_delta_pass_split() {
     for (mut params, split) in [
-        (GeneratorParams::paper_sized(4, 1_000), (528, 72)),
-        (GeneratorParams::multi_rate(4, 1_000), (556, 44)),
+        (GeneratorParams::paper_sized(4, 1_000), (530, 70)),
+        (GeneratorParams::multi_rate(4, 1_000), (558, 42)),
     ] {
         params.inter_cluster_messages = Some(10);
         let system = generate(&params);

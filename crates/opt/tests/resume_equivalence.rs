@@ -15,8 +15,8 @@ use mcs_core::AnalysisParams;
 use mcs_gen::{generate, GeneratorParams};
 use mcs_model::System;
 use mcs_opt::{
-    run_batch, Budget, BudgetAxis, CancelToken, EventCounter, JobOutcome, JobSpec, Os, OsParams,
-    Sa, SaParams, SearchCtx, Strategy, Synthesis, SynthesisError, SynthesisReport,
+    run_batch, Budget, BudgetAxis, CancelToken, EventCounter, JobOutcome, JobSpec, Or, OrParams,
+    Os, OsParams, Sa, SaParams, SearchCtx, Strategy, Synthesis, SynthesisError, SynthesisReport,
 };
 
 fn small_system(seed: u64) -> System {
@@ -198,6 +198,36 @@ proptest! {
             outcome.map(|r| r.evaluations)
         );
     }
+}
+
+/// OS cut inside its first position scan has committed nothing, so it
+/// records no incumbent: evaluating a fallback the uninterrupted sweep
+/// never evaluates would leave a checkpoint no continuation reproduces.
+/// OR, which runs OS first, then has nothing to climb from.
+#[test]
+fn os_cut_before_its_first_commit_has_no_incumbent() {
+    let system = small_system(0);
+    let analysis = AnalysisParams::default();
+    let os = Synthesis::builder(&system)
+        .analysis(analysis)
+        .strategy(Os::new(OsParams::default()))
+        .budget(Budget::evals(1))
+        .run();
+    assert!(
+        matches!(os, Err(SynthesisError::NoIncumbent)),
+        "expected NoIncumbent, got {:?}",
+        os.map(|r| r.trajectory)
+    );
+    let or = Synthesis::builder(&system)
+        .analysis(analysis)
+        .strategy(Or::new(OrParams::default()))
+        .budget(Budget::evals(1))
+        .run();
+    assert!(
+        matches!(or, Err(SynthesisError::NoIncumbent)),
+        "expected NoIncumbent, got {:?}",
+        or.map(|r| r.trajectory)
+    );
 }
 
 /// Waits until the run is cut before handing over to the wrapped strategy,
