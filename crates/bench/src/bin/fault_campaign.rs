@@ -29,6 +29,9 @@
 //! | `--cell K` | replay exactly cell K, print its line, write nothing |
 //! | `--smoke` | the CI profile: 256 cells, fixed seed, bounded deadline |
 //! | `--jsonl PATH` | per-cell record path; the summary goes to `PATH` with a `.json` extension (so `PATH` must not end in `.json`) |
+//!
+//! An unknown flag, a missing or malformed value, or a zero `--cells` or
+//! `--activations` is refused with the usage message and exit status 2.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -37,52 +40,65 @@ use std::time::Duration;
 use mcs_bench::campaign::{run_campaign, run_cells, CampaignSpec};
 use mcs_bench::output_path;
 
+const USAGE: &str = "usage: fault_campaign [--cells N] [--seed S] [--activations N] \
+                     [--os-one-in N] [--cell K] [--smoke] [--jsonl PATH]";
+
+#[derive(Debug, PartialEq)]
 struct Args {
     spec: CampaignSpec,
     replay: Option<u64>,
     jsonl: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+/// Parses the flags after the program name; the error names the offending
+/// flag.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
         spec: CampaignSpec::default(),
         replay: None,
         jsonl: None,
     };
-    let mut it = std::env::args().skip(1);
-    let next_u64 = |flag: &str, it: &mut dyn Iterator<Item = String>| -> u64 {
-        it.next()
-            .and_then(|v| {
-                let v = v.trim();
-                match v.strip_prefix("0x") {
-                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                    None => v.parse().ok(),
-                }
-            })
-            .unwrap_or_else(|| panic!("{flag} takes an unsigned integer"))
-    };
+    let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--cells" => args.spec.cells = next_u64("--cells", &mut it),
-            "--seed" => args.spec.seed = next_u64("--seed", &mut it),
-            "--activations" => args.spec.activations = next_u64("--activations", &mut it),
-            "--os-one-in" => args.spec.os_one_in = next_u64("--os-one-in", &mut it),
-            "--cell" => args.replay = Some(next_u64("--cell", &mut it)),
+            "--cells" => parsed.spec.cells = positive("--cells", &mut it)?,
+            "--seed" => parsed.spec.seed = unsigned("--seed", &mut it)?,
+            "--activations" => parsed.spec.activations = positive("--activations", &mut it)?,
+            "--os-one-in" => parsed.spec.os_one_in = unsigned("--os-one-in", &mut it)?,
+            "--cell" => parsed.replay = Some(unsigned("--cell", &mut it)?),
             "--smoke" => {
-                args.spec.cells = 256;
-                args.spec.seed = 0xC0_FFEE;
-                args.spec.activations = 2;
-                args.spec.os_one_in = 8;
-                args.spec.deadline = Duration::from_secs(30);
+                parsed.spec.cells = 256;
+                parsed.spec.seed = 0xC0_FFEE;
+                parsed.spec.activations = 2;
+                parsed.spec.os_one_in = 8;
+                parsed.spec.deadline = Duration::from_secs(30);
             }
-            "--jsonl" => args.jsonl = Some(it.next().expect("--jsonl takes a path")),
-            other => panic!(
-                "unknown flag {other}; supported: --cells N, --seed S, \
-                 --activations N, --os-one-in N, --cell K, --smoke, --jsonl PATH"
-            ),
+            "--jsonl" => parsed.jsonl = Some(it.next().ok_or("--jsonl takes a path")?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(parsed)
+}
+
+/// The value of `flag`: an unsigned integer, decimal or `0x` hex.
+fn unsigned(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<u64, String> {
+    it.next()
+        .and_then(|v| {
+            let v = v.trim();
+            match v.strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                None => v.parse().ok(),
+            }
+        })
+        .ok_or_else(|| format!("{flag} takes an unsigned integer"))
+}
+
+/// The value of `flag`: a positive integer, decimal or `0x` hex.
+fn positive(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<u64, String> {
+    match unsigned(flag, it) {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} takes a positive integer")),
+    }
 }
 
 /// The summary file of a campaign whose per-cell records go to `jsonl`:
@@ -94,7 +110,13 @@ fn summary_path(jsonl: &Path) -> Option<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     // Replay path: run the one cell, print its record, touch no files.
     if let Some(index) = args.replay {
@@ -179,6 +201,51 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn flags_parse_into_the_campaign_spec() {
+        let args = parse("--cells 20000 --seed 0xC0FFEE00 --activations 16 --os-one-in 0")
+            .expect("valid flags");
+        assert_eq!(
+            args.spec,
+            CampaignSpec {
+                cells: 20_000,
+                seed: 0xC0FF_EE00,
+                activations: 16,
+                os_one_in: 0,
+                ..CampaignSpec::default()
+            }
+        );
+        let smoke = parse("--smoke --jsonl runs/x.jsonl").expect("valid flags");
+        assert_eq!((smoke.spec.cells, smoke.spec.seed), (256, 0xC0_FFEE));
+        assert_eq!(smoke.jsonl.as_deref(), Some("runs/x.jsonl"));
+        assert_eq!(parse("--cell 0").expect("valid flags").replay, Some(0));
+    }
+
+    #[test]
+    fn malformed_flags_and_empty_campaigns_are_refused() {
+        for line in [
+            "--bogus",
+            "--cells abc",
+            "--cells",
+            "--jsonl",
+            "--cells 0",
+            "--activations 0",
+            "--seed -1",
+            "--cell",
+        ] {
+            assert!(parse(line).is_err(), "{line} must be refused");
+        }
+        assert_eq!(parse("--bogus"), Err("unknown flag --bogus".to_string()));
+        assert_eq!(
+            parse("--activations 0"),
+            Err("--activations takes a positive integer".to_string())
+        );
+    }
 
     #[test]
     fn summary_sits_next_to_the_records() {

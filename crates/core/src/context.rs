@@ -62,7 +62,7 @@ use rayon::prelude::*;
 
 use crate::batch::{BatchRequest, BatchScratch};
 use crate::delta::{close_dirty, DeltaSeeds, DirtySet};
-use crate::holistic::Holistic;
+use crate::holistic::{order_worklist, Holistic, Solve};
 use crate::multicluster::{AnalysisError, AnalysisParams};
 use crate::outcome::{AnalysisOutcome, EntityTiming, MessageTiming, QueueBounds};
 use crate::queues::TtpQueueParams;
@@ -160,9 +160,11 @@ pub(crate) struct SystemContext {
     /// index; `usize::MAX` for non-FIFO messages).
     pub fifo_pos: Vec<usize>,
     // Static tables of the worklist fixed-point engine (see
-    // [`crate::holistic`]): every analyzed entity in dataflow order —
+    // [`crate::holistic`]): the key space of every analyzed entity —
     // graphs in id order, processes in topological order within each graph,
-    // each process followed by the message legs it sources.
+    // each process followed by the message legs it sources. Key order is the
+    // tie-break of the per-configuration visiting order (`Scratch::wl_order`),
+    // not the visiting order itself.
     /// The engine's entities, indexed by worklist key.
     pub wl_entities: Vec<WlEntity>,
     /// Worklist key of each ET process (`u32::MAX` for TT processes).
@@ -339,10 +341,9 @@ impl SystemContext {
             fifo_pos[mi] = k;
         }
 
-        // Worklist entity order: dataflow-first (topological within each
-        // graph, legs right after their source), so the engine's first
-        // visits resolve offsets before any dependent reads them and
-        // requeues are dominated by same-direction propagation.
+        // Worklist keys: dataflow-first (topological within each graph,
+        // legs right after their source), the static tie-break of the
+        // visiting order.
         let mut wl_entities = Vec::new();
         let mut wl_key_proc = vec![u32::MAX; proc_is_tt.len()];
         let mut wl_key_can = vec![u32::MAX; route.len()];
@@ -454,6 +455,15 @@ pub(crate) struct Scratch {
     pub wl_next_pending: Vec<bool>,
     pub wl_current: Vec<u32>,
     pub wl_next: Vec<u32>,
+    // The worklist visiting order of the current priority assignment (see
+    // [`crate::holistic::order_worklist`]), rebuilt with `node_order` and
+    // `can_order`.
+    /// Worklist keys in visiting order (keys by rank).
+    pub wl_order: Vec<u32>,
+    /// Visiting rank of each worklist key (rank by key).
+    pub wl_rank: Vec<u32>,
+    /// Per-key count of unranked predecessors while the order is sorted.
+    pub wl_indegree: Vec<u32>,
     // The live kernel input arrays, maintained incrementally by the
     // worklist engine: an entity's entry is refreshed by its own
     // recomputation, so a kernel always reads its peers' latest values.
@@ -484,11 +494,14 @@ impl Scratch {
     /// Allocation-reusing assignment of everything an evaluation reads
     /// before writing it, into `self`'s existing buffers. Batch lanes use
     /// this to mirror the primary evaluator's converged state before
-    /// re-climbing their candidate's divergent tail. Per-pass state is
-    /// skipped, because each pass resets it before reading: the dirty set
-    /// (`close_dirty`/`mark_all`), the worklist (`solve`), the kernel input
-    /// arrays (`stage_kernel_inputs`, for every resource the pass visits)
-    /// and the queue-bound buffers (`priority_queue_bound`).
+    /// re-climbing their candidate's divergent tail. The visiting order is
+    /// copied with the other priority tables: a lane that skips the table
+    /// rebuild (its configuration is the mirrored one) reads it. Per-pass
+    /// state is skipped, because each pass resets it before reading: the
+    /// dirty set (`close_dirty`/`mark_all`), the worklist (`solve`), the
+    /// order's in-degree buffer (`order_worklist`), the kernel input arrays
+    /// (`stage_kernel_inputs`, for every resource the pass visits) and the
+    /// queue-bound buffers (`priority_queue_bound`).
     pub(crate) fn sync_from(&mut self, src: &Scratch) {
         self.po.clone_from(&src.po);
         self.pj.clone_from(&src.pj);
@@ -512,6 +525,8 @@ impl Scratch {
         self.can_blocking.clone_from(&src.can_blocking);
         self.node_order.clone_from(&src.node_order);
         self.node_pos.clone_from(&src.node_pos);
+        self.wl_order.clone_from(&src.wl_order);
+        self.wl_rank.clone_from(&src.wl_rank);
         self.fifo_warm.clone_from(&src.fifo_warm);
         self.proc_release.clone_from(&src.proc_release);
         self.msg_release.clone_from(&src.msg_release);
@@ -537,6 +552,40 @@ pub struct EvalSummary {
     pub converged: bool,
     /// Outer (schedule ↔ RTA) iterations performed.
     pub iterations: u32,
+}
+
+/// Deterministic work counters of an [`Evaluator`], accumulated since its
+/// construction (a batch folds in its lanes' counts; see
+/// [`Evaluator::evaluate_batch`]). They count the same work on every host
+/// and thread count, so tests can pin them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EvalProfile {
+    /// Holistic passes served by the restricted dirty-cone analysis.
+    pub delta_passes: u64,
+    /// Holistic passes served by a full re-analysis.
+    pub full_passes: u64,
+    /// Worklist waves over every holistic pass, including delta passes that
+    /// exhausted their budget and fell back.
+    pub waves: u64,
+    /// Entity recomputations (ET process, CAN leg and FIFO leg visits) over
+    /// the same passes.
+    pub recomputations: u64,
+}
+
+impl EvalProfile {
+    fn count(&mut self, solve: Solve) {
+        self.waves += solve.waves;
+        self.recomputations += solve.recomputations;
+    }
+}
+
+impl std::ops::AddAssign for EvalProfile {
+    fn add_assign(&mut self, other: EvalProfile) {
+        self.delta_passes += other.delta_passes;
+        self.full_passes += other.full_passes;
+        self.waves += other.waves;
+        self.recomputations += other.recomputations;
+    }
 }
 
 impl EvalSummary {
@@ -641,9 +690,8 @@ pub struct Evaluator<'s> {
     /// start / messages whose frame placement moved in the rebuild.
     diff_procs: Vec<ProcessId>,
     diff_msgs: Vec<MessageId>,
-    /// Holistic passes served by a dirty-cone delta / by a full re-analysis.
-    delta_evals: u64,
-    full_evals: u64,
+    /// Work counters since construction.
+    profile: EvalProfile,
 }
 
 impl<'s> std::fmt::Debug for Evaluator<'s> {
@@ -800,8 +848,7 @@ impl<'s> Evaluator<'s> {
             sched_tmp: TtcSchedule::new(),
             diff_procs: Vec::new(),
             diff_msgs: Vec::new(),
-            delta_evals: 0,
-            full_evals: 0,
+            profile: EvalProfile::default(),
         }
     }
 
@@ -955,14 +1002,18 @@ impl<'s> Evaluator<'s> {
                     self.sched_cache[slot].analysis.load(&mut self.scratch);
                     // An exhausted pass budget leaves the scratch mid-climb:
                     // the full pass below resets and re-derives it exactly.
-                    ran_delta = self.holistic(ttp_queue, grid_slack).run_delta();
+                    let solve = self.holistic(ttp_queue, grid_slack).run_delta();
+                    self.profile.count(solve);
+                    ran_delta = solve.quiescent;
                 }
                 if ran_delta {
                     holistic_stable = true;
-                    self.delta_evals += 1;
+                    self.profile.delta_passes += 1;
                 } else {
-                    self.full_evals += 1;
-                    holistic_stable = self.holistic(ttp_queue, grid_slack).run();
+                    self.profile.full_passes += 1;
+                    let solve = self.holistic(ttp_queue, grid_slack).run();
+                    self.profile.count(solve);
+                    holistic_stable = solve.quiescent;
                 }
             }
             analyzed = Some(slot);
@@ -1051,10 +1102,15 @@ impl<'s> Evaluator<'s> {
         self.evaluate_inner(config, Some(seeds))
     }
 
+    /// The work counters accumulated since construction.
+    pub fn profile(&self) -> EvalProfile {
+        self.profile
+    }
+
     /// How many holistic passes were served by the restricted dirty-cone
     /// analysis vs a full re-analysis, since construction.
     pub fn delta_stats(&self) -> (u64, u64) {
-        (self.delta_evals, self.full_evals)
+        (self.profile.delta_passes, self.profile.full_passes)
     }
 
     /// Mirrors every piece of mutable evaluation state from `src`, reusing
@@ -1090,8 +1146,7 @@ impl<'s> Evaluator<'s> {
             (Some(dst), Some(src_cfg)) => dst.clone_from(src_cfg),
             (dst, src_cfg) => *dst = src_cfg.clone(),
         }
-        self.delta_evals = src.delta_evals;
-        self.full_evals = src.full_evals;
+        self.profile = src.profile;
     }
 
     /// Evaluates a whole batch of sibling candidates against this
@@ -1114,9 +1169,9 @@ impl<'s> Evaluator<'s> {
     /// when batching degrades to sequential work.
     ///
     /// The primary state is left untouched (only the aggregate
-    /// [`delta_stats`](Self::delta_stats) absorb the lanes' holistic-pass
-    /// counts), so the accumulated-seed discipline of a search loop carries
-    /// over unchanged: every request's seeds are relative to the same base.
+    /// [`profile`](Self::profile) absorbs the lanes' work counters), so
+    /// the accumulated-seed discipline of a search loop carries over
+    /// unchanged: every request's seeds are relative to the same base.
     ///
     /// Infeasible candidates are not an error of the batch: their lane
     /// reports its [`AnalysisError`] in the returned vector, exactly as the
@@ -1153,8 +1208,8 @@ impl<'s> Evaluator<'s> {
         // only hands out indices; it publishes no data, hence `Relaxed`.
         let next = AtomicUsize::new(0);
         // Each lane returns, per candidate it ran, the candidate's index,
-        // its result and its `(delta, full)` holistic-pass increments.
-        type LaneRun = (usize, Result<EvalSummary, AnalysisError>, (u64, u64));
+        // its result and its work-counter increments.
+        type LaneRun = (usize, Result<EvalSummary, AnalysisError>, EvalProfile);
         let lane_runs: Vec<Vec<LaneRun>> = scratch.lanes[..width]
             .par_iter_mut()
             .map(|lane| {
@@ -1165,28 +1220,25 @@ impl<'s> Evaluator<'s> {
                         break runs;
                     };
                     if plans[i] {
-                        // The sync overwrites the lane's pass counters with
-                        // the primary aggregate, so the baseline is read
-                        // after it.
                         lane.clone_state_from(primary);
                     }
-                    let (d0, f0) = lane.delta_stats();
+                    // The lane counts this candidate's work alone (the sync
+                    // copied the primary's aggregate).
+                    lane.profile = EvalProfile::default();
                     let result = if plans[i] {
                         lane.evaluate_delta(&req.config, &req.seeds)
                     } else {
                         lane.evaluate(&req.config)
                     };
-                    let (d1, f1) = lane.delta_stats();
-                    runs.push((i, result, (d1 - d0, f1 - f0)));
+                    runs.push((i, result, lane.profile));
                 }
             })
             .collect();
         let mut runs: Vec<LaneRun> = lane_runs.into_iter().flatten().collect();
         runs.sort_unstable_by_key(|run| run.0);
         runs.into_iter()
-            .map(|(_, result, (delta, full))| {
-                self.delta_evals += delta;
-                self.full_evals += full;
+            .map(|(_, result, work)| {
+                self.profile += work;
                 result
             })
             .collect()
@@ -1260,8 +1312,9 @@ impl<'s> Evaluator<'s> {
         // to dense vectors, the priority-sorted evaluation orders
         // (priorities are unique per resource, so the orders are total),
         // their inverse position tables (the delta closure reads priority
-        // bands from them) and the CAN suffix-max blocking bounds — these
-        // turn every kernel's higher-priority filtering into prefix scans.
+        // bands from them), the CAN suffix-max blocking bounds — these
+        // turn every kernel's higher-priority filtering into prefix scans —
+        // and the worklist's visiting order under these priorities.
         let s = &mut self.scratch;
         s.msg_priority.clear();
         s.msg_priority.extend(
@@ -1308,6 +1361,8 @@ impl<'s> Evaluator<'s> {
                 s.node_pos[p.index()] = idx;
             }
         }
+        // The worklist visits in the dependency order of these bands.
+        order_worklist(&self.ctx, s);
         // `clone_from` reuses the previous snapshot's allocations, so
         // a changed configuration costs no fresh allocation here.
         match &mut self.last_validated {
@@ -1579,6 +1634,40 @@ impl Evaluator<'_> {
     /// [`close_for_test`]: Evaluator::close_for_test
     pub(crate) fn dirty_for_test(&self) -> &DirtySet {
         &self.scratch.dirty
+    }
+
+    /// Test hook for the visiting order: evaluates `config` exactly as
+    /// [`evaluate_delta`](Evaluator::evaluate_delta) would with `seeds` (as
+    /// [`evaluate`](Evaluator::evaluate) without), except that the worklist
+    /// order `prepare_config` computed is replaced by `order` (worklist keys
+    /// by rank, a permutation of `0..worklist_len_for_test()`).
+    pub(crate) fn evaluate_in_order_for_test(
+        &mut self,
+        config: &SystemConfig,
+        seeds: Option<&DeltaSeeds>,
+        order: &[u32],
+    ) -> Result<EvalSummary, AnalysisError> {
+        let seeds = seeds.filter(|seeds| self.delta_applicable(config, seeds));
+        self.prepare_config(config)?;
+        let s = &mut self.scratch;
+        s.wl_order.clear();
+        s.wl_order.extend_from_slice(order);
+        s.wl_rank.clear();
+        s.wl_rank.resize(order.len(), u32::MAX);
+        for (rank, &key) in order.iter().enumerate() {
+            s.wl_rank[key as usize] = rank as u32;
+        }
+        self.evaluate_inner(config, seeds)
+    }
+
+    /// Test hook: the number of worklist entities (keys `0..n`).
+    pub(crate) fn worklist_len_for_test(&self) -> usize {
+        self.ctx.wl_entities.len()
+    }
+
+    /// Test hook: the visiting order of the last prepared configuration.
+    pub(crate) fn worklist_order_for_test(&self) -> &[u32] {
+        &self.scratch.wl_order
     }
 }
 

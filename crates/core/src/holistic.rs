@@ -28,11 +28,29 @@
 //!   sources, the CAN leg's destination or its FIFO continuation), and
 //! * for a FIFO leg, the legs drained after it.
 //!
-//! The worklist pops entities in a static dataflow order
-//! ([`SystemContext::wl_entities`]: graphs in order, topological within each
-//! graph, legs right after their source), so first visits resolve offsets
-//! before any dependent reads them and propagation mostly runs forward;
-//! cyclic couplings (bus ↔ CPU ↔ FIFO) simply requeue until quiescent.
+//! The worklist visits entities in a **per-configuration dependency
+//! order** ([`order_worklist`]; iterating in a topological order of the
+//! dependency graph is Bourdoncle's classic strategy for chaotic
+//! iteration): a topological order of the graph whose edges are exactly
+//! the requeue rules above under the current priority assignment, each
+//! priority band reduced to a chain to the next lower priority on its
+//! resource — which orders a sort exactly like the whole band does. The
+//! order is rebuilt whenever the priority-sorted tables are (a changed TDMA
+//! round or priority assignment), never for a pins-only change. Where the
+//! graph is acyclic, as on the single-rate instances measured, a full pass
+//! visits each entity once, after everything it reads, and converges in
+//! one wave; a cycle (bus ↔ CPU ↔ FIFO couplings, as on multi-rate
+//! instances) is broken at its smallest static key and requeues until
+//! quiescent.
+//!
+//! The order is free to choose: the argument below makes every visiting
+//! order reach the same least fixed point, offsets are resolved by the
+//! seeding walk before any kernel runs, and the occurrence FIFO bound is
+//! stateless. Only the wave budget (`max_holistic_iterations`) depends on
+//! the order: a pass that exhausts it stops below the fixed point, at a
+//! state the order decides (no measured pass has). A unit test pins the
+//! results of the dependency order to those of the static key order and of
+//! random permutations.
 //!
 //! [`Holistic::run`] seeds the worklist with **every** entity from the
 //! bottom of the lattice; [`Holistic::run_delta`] seeds it with the closed
@@ -94,6 +112,18 @@ fn app_rank(priority: Priority) -> u64 {
 }
 const TRANSFER_RANK: u64 = 0;
 
+/// What one worklist solve did: whether it reached quiescence within the
+/// wave budget, and the work it took.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Solve {
+    /// Quiescence reached (as opposed to the wave budget exhausted).
+    pub quiescent: bool,
+    /// Waves processed.
+    pub waves: u64,
+    /// Entity recomputations (process, CAN leg and FIFO leg visits).
+    pub recomputations: u64,
+}
+
 /// One holistic analysis pass over a fixed TTC schedule, reading the shared
 /// [`SystemContext`] and mutating only the [`Scratch`].
 pub(crate) struct Holistic<'a> {
@@ -117,12 +147,12 @@ impl Holistic<'_> {
     /// computed separately by [`queue_bounds`](Holistic::queue_bounds) (the
     /// evaluator needs them only for the final outer iteration). Returns
     /// whether the engine reached quiescence (as opposed to exhausting the
-    /// budget).
+    /// budget) and the work it took.
     ///
     /// This is the **full** seeding of the worklist engine: every entity
     /// restarts from the bottom of the lattice and joins the worklist; see
     /// the module docs for the convergence argument.
-    pub(crate) fn run(&mut self) -> bool {
+    pub(crate) fn run(&mut self) -> Solve {
         self.reset();
         self.s.dirty.mark_all(self.ctx);
         self.seed_offsets_and_jitters();
@@ -139,12 +169,12 @@ impl Holistic<'_> {
     /// fixed clean inputs — reaching the same least fixed point a full
     /// re-analysis would, in a fraction of the kernel work. This is the
     /// **delta** seeding of the same worklist engine [`run`] drives.
-    /// Returns whether quiescence was reached within the budget; on `false`
-    /// the caller must fall back to the full analysis (the scratch is
-    /// mid-climb).
+    /// Returns whether quiescence was reached within the budget, and the
+    /// work it took; without quiescence the caller must fall back to the
+    /// full analysis (the scratch is mid-climb).
     ///
     /// [`run`]: Holistic::run
-    pub(crate) fn run_delta(&mut self) -> bool {
+    pub(crate) fn run_delta(&mut self) -> Solve {
         let ctx = self.ctx;
         {
             // Dirty entities restart from the bottom of the fixed-point
@@ -207,29 +237,32 @@ impl Holistic<'_> {
     }
 
     /// The worklist loop: seed every dirty entity, then process **waves**
-    /// — each wave visits its pending entities in ascending key order
-    /// (Gauss–Seidel: a recomputation reads the latest values of everything
-    /// visited before it) and value changes requeue dependents. A dependent
-    /// still pending *later in the current wave* needs no requeue (it will
-    /// read the fresh arrays when its turn comes); one already visited is
-    /// deferred to the next wave, so the reactions to all of a wave's
-    /// changes are batched into one revisit instead of one revisit per
-    /// change. Quiescence — an empty next wave — certifies that no entity
-    /// has an input changed since its last visit. Returns `false` when the
-    /// wave budget (`max_iterations`, mirroring the pass-based cap) is
-    /// exhausted mid-climb.
-    fn solve(&mut self) -> bool {
+    /// — each wave visits its pending entities in ascending rank of the
+    /// configuration's dependency order (`Scratch::wl_rank`; Gauss–Seidel:
+    /// a recomputation reads the latest values of everything visited before
+    /// it) and value changes requeue dependents. A dependent still pending
+    /// *later in the current wave* needs no requeue (it will read the fresh
+    /// arrays when its turn comes); one already visited is deferred to the
+    /// next wave, so the reactions to all of a wave's changes are batched
+    /// into one revisit instead of one revisit per change. Quiescence — an
+    /// empty next wave — certifies that no entity has an input changed
+    /// since its last visit. Reports no quiescence when the wave budget
+    /// (`max_iterations`, mirroring the pass-based cap) is exhausted
+    /// mid-climb.
+    fn solve(&mut self) -> Solve {
         let ctx = self.ctx;
         let n = ctx.wl_entities.len();
         {
             let s = &mut *self.s;
+            debug_assert_eq!(s.wl_order.len(), n, "worklist order not computed");
             s.wl_pending.clear();
             s.wl_pending.resize(n, false);
             s.wl_next_pending.clear();
             s.wl_next_pending.resize(n, false);
             s.wl_current.clear();
             s.wl_next.clear();
-            for key in 0..n as u32 {
+            // The first wave: the dirty keys, in rank order.
+            for &key in &s.wl_order {
                 let dirty = match ctx.wl_entities[key as usize] {
                     WlEntity::Proc(pi) => s.dirty.procs[pi as usize],
                     WlEntity::Can(mi) => s.dirty.can[mi as usize],
@@ -241,10 +274,18 @@ impl Holistic<'_> {
                 }
             }
         }
+        let mut solve = Solve {
+            quiescent: false,
+            waves: 0,
+            recomputations: 0,
+        };
         for _ in 0..self.max_iterations {
             if self.s.wl_current.is_empty() {
-                return true;
+                solve.quiescent = true;
+                return solve;
             }
+            solve.waves += 1;
+            solve.recomputations += self.s.wl_current.len() as u64;
             let mut i = 0;
             while i < self.s.wl_current.len() {
                 let key = self.s.wl_current[i];
@@ -256,14 +297,16 @@ impl Holistic<'_> {
                     WlEntity::Fifo(mi) => self.recompute_fifo(mi as usize),
                 }
             }
-            // Next wave: the deferred requeues, in key order.
+            // Next wave: the deferred requeues, in rank order.
             let s = &mut *self.s;
             s.wl_current.clear();
             std::mem::swap(&mut s.wl_current, &mut s.wl_next);
-            s.wl_current.sort_unstable();
+            let rank = &s.wl_rank;
+            s.wl_current.sort_unstable_by_key(|&key| rank[key as usize]);
             std::mem::swap(&mut s.wl_pending, &mut s.wl_next_pending);
         }
-        self.s.wl_current.is_empty()
+        solve.quiescent = self.s.wl_current.is_empty();
+        solve
     }
 
     /// Recomputes one ET process: jitter from the predecessors' current
@@ -678,6 +721,111 @@ fn push(pending: &[bool], next_pending: &mut [bool], next: &mut Vec<u32>, key: u
     }
 }
 
+/// Computes the worklist visiting order of the current priority assignment
+/// into `Scratch::wl_order` (keys by rank) and `Scratch::wl_rank` (rank by
+/// key): Kahn's algorithm over the graph of [`for_each_dependent`], with a
+/// FIFO queue seeded in static key order. When the queue runs dry before
+/// every key is ordered (a cycle), the smallest unordered static key is
+/// released. `wl_order` doubles as the queue — a key is ranked when it is
+/// queued — so after warm-up the sort allocates nothing.
+///
+/// Requires the priority-sorted tables (`node_order`, `node_pos`,
+/// `can_order`, `can_pos`) of the configuration being evaluated.
+pub(crate) fn order_worklist(ctx: &SystemContext, s: &mut Scratch) {
+    let n = ctx.wl_entities.len();
+    let mut order = std::mem::take(&mut s.wl_order);
+    let mut rank = std::mem::take(&mut s.wl_rank);
+    let mut indegree = std::mem::take(&mut s.wl_indegree);
+    indegree.clear();
+    indegree.resize(n, 0);
+    for key in 0..n {
+        for_each_dependent(ctx, s, key, |d| indegree[d] += 1);
+    }
+    rank.clear();
+    rank.resize(n, u32::MAX);
+    order.clear();
+    for key in 0..n {
+        if indegree[key] == 0 {
+            rank[key] = order.len() as u32;
+            order.push(key as u32);
+        }
+    }
+    let (mut head, mut release) = (0, 0);
+    while order.len() < n {
+        if head == order.len() {
+            // Every unordered key waits on an unordered predecessor.
+            while rank[release] != u32::MAX {
+                release += 1;
+            }
+            rank[release] = order.len() as u32;
+            order.push(release as u32);
+        }
+        let key = order[head] as usize;
+        head += 1;
+        for_each_dependent(ctx, s, key, |d| {
+            indegree[d] -= 1;
+            if indegree[d] == 0 && rank[d] == u32::MAX {
+                rank[d] = order.len() as u32;
+                order.push(d as u32);
+            }
+        });
+    }
+    s.wl_order = order;
+    s.wl_rank = rank;
+    s.wl_indegree = indegree;
+}
+
+/// Calls `f` with every worklist key the engine may requeue when entity
+/// `key` changes, under the current priority assignment — except that each
+/// priority band is reduced to its next lower priority on the resource: the
+/// band is the transitive closure of that chain, so it orders a sort
+/// exactly like the whole band does.
+fn for_each_dependent(ctx: &SystemContext, s: &Scratch, key: usize, mut f: impl FnMut(usize)) {
+    match ctx.wl_entities[key] {
+        WlEntity::Proc(pi) => {
+            let pi = pi as usize;
+            if let Some(ni) = ctx.proc_et_node[pi] {
+                if let Some(q) = s.node_order[ni as usize].get(s.node_pos[pi] + 1) {
+                    f(ctx.wl_key_proc[q.index()] as usize);
+                }
+            }
+            for &q in &ctx.proc_direct_succ[pi] {
+                f(ctx.wl_key_proc[q as usize] as usize);
+            }
+            for &mi in &ctx.proc_out_et_msgs[pi] {
+                f(ctx.wl_key_can[mi as usize] as usize);
+            }
+        }
+        WlEntity::Can(mi) => {
+            let mi = mi as usize;
+            if let Some(&mj) = s.can_order.get(s.can_pos[mi] + 1) {
+                f(ctx.wl_key_can[mj] as usize);
+            }
+            match ctx.route[mi] {
+                MessageRoute::EtcToTtc => f(ctx.wl_key_fifo[mi] as usize),
+                MessageRoute::EtcToEtc | MessageRoute::TtcToEtc => {
+                    let dest = ctx.msg_dest[mi] as usize;
+                    if !ctx.proc_is_tt[dest] {
+                        f(ctx.wl_key_proc[dest] as usize);
+                    }
+                }
+                MessageRoute::TtcToTtc => {}
+            }
+        }
+        WlEntity::Fifo(mi) => {
+            // The FIFO drains in CAN-priority order: the next FIFO leg on
+            // the bus is the next one drained.
+            let later = &s.can_order[s.can_pos[mi as usize] + 1..];
+            if let Some(&mj) = later
+                .iter()
+                .find(|&&mj| matches!(ctx.route[mj], MessageRoute::EtcToTtc))
+            {
+                f(ctx.wl_key_fifo[mj] as usize);
+            }
+        }
+    }
+}
+
 fn frame_arrival(schedule: &TtcSchedule, m: MessageId) -> Time {
     schedule.frame(m).map(|f| f.arrival).unwrap_or(Time::ZERO)
 }
@@ -835,5 +983,222 @@ fn build_task_flow(ctx: &SystemContext, s: &Scratch, pi: usize) -> TaskFlow {
         wcet: ctx.proc_wcet[pi],
         blocking: ctx.proc_blocking[pi],
         response: s.pr[pi],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeMap, HashMap};
+
+    use mcs_gen::{generate, GeneratorParams};
+    use mcs_model::{NodeId, PriorityAssignment, SystemConfig, TdmaConfig, TdmaSlot};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    use super::*;
+    use crate::context::{EvalSummary, Evaluator};
+    use crate::delta::DeltaSeeds;
+    use crate::multicluster::{AnalysisError, AnalysisParams};
+
+    /// A valid ψ built without the optimizer: one slot per TTP node, sized
+    /// to the largest frame it sends, and unique by-id priorities per ET
+    /// CPU and on the bus.
+    fn plain_config(system: &System) -> SystemConfig {
+        let app = &system.application;
+        let arch = &system.architecture;
+        let mut capacity: HashMap<NodeId, u32> = HashMap::new();
+        for m in app.messages() {
+            let route = system.route(m.id());
+            if route.uses_ttp() {
+                let node = if route == MessageRoute::EtcToTtc {
+                    arch.gateway()
+                } else {
+                    app.process(m.source()).node()
+                };
+                let cap = capacity.entry(node).or_insert(1);
+                *cap = (*cap).max(m.size_bytes());
+            }
+        }
+        let slots = arch
+            .ttp_nodes()
+            .map(|n| TdmaSlot {
+                node: n.id(),
+                capacity_bytes: capacity.get(&n.id()).copied().unwrap_or(1),
+            })
+            .collect();
+        let mut priorities = PriorityAssignment::new();
+        let mut next_level: HashMap<NodeId, u32> = HashMap::new();
+        for p in app.processes() {
+            if arch.is_et_cpu(p.node()) {
+                let level = next_level.entry(p.node()).or_insert(0);
+                priorities.set_process(p.id(), Priority::new(*level));
+                *level += 1;
+            }
+        }
+        let can = app
+            .messages()
+            .iter()
+            .filter(|m| system.route(m.id()).uses_can());
+        for (level, m) in can.enumerate() {
+            priorities.set_message(m.id(), Priority::new(level as u32));
+        }
+        SystemConfig::new(TdmaConfig::new(slots), priorities)
+    }
+
+    /// Swaps the priorities of two distinct entities sharing a resource (an
+    /// ET CPU or the bus), picked by `rng`, recording both as delta seeds.
+    fn swap_priorities(
+        system: &System,
+        config: &mut SystemConfig,
+        seeds: &mut DeltaSeeds,
+        rng: &mut StdRng,
+    ) {
+        let app = &system.application;
+        let mut cpus: BTreeMap<NodeId, Vec<ProcessId>> = BTreeMap::new();
+        for p in app.processes() {
+            if system.architecture.is_et_cpu(p.node()) {
+                cpus.entry(p.node()).or_default().push(p.id());
+            }
+        }
+        let cpus: Vec<Vec<ProcessId>> = cpus.into_values().filter(|v| v.len() >= 2).collect();
+        let bus: Vec<MessageId> = app
+            .messages()
+            .iter()
+            .map(|m| m.id())
+            .filter(|&m| system.route(m).uses_can())
+            .collect();
+        let two = |rng: &mut StdRng, n: usize| {
+            let i = rng.gen_range(0..n);
+            (i, (i + rng.gen_range(1..n)) % n)
+        };
+        let priorities = &mut config.priorities;
+        match cpus.get(rng.gen_range(0..=cpus.len())) {
+            Some(procs) => {
+                let (i, j) = two(rng, procs.len());
+                let (a, b) = (procs[i], procs[j]);
+                let (pa, pb) = (priorities.process(a), priorities.process(b));
+                priorities.set_process(a, pb.expect("ET priority"));
+                priorities.set_process(b, pa.expect("ET priority"));
+                seeds.push_process(a);
+                seeds.push_process(b);
+            }
+            None => {
+                let (i, j) = two(rng, bus.len());
+                let (a, b) = (bus[i], bus[j]);
+                let (pa, pb) = (priorities.message(a), priorities.message(b));
+                priorities.set_message(a, pb.expect("bus priority"));
+                priorities.set_message(b, pa.expect("bus priority"));
+                seeds.push_message(a);
+                seeds.push_message(b);
+            }
+        }
+    }
+
+    /// Everything an evaluation reports: its summary (with the convergence
+    /// metadata) and every table of its outcome.
+    type Results = (
+        EvalSummary,
+        TtcSchedule,
+        HashMap<ProcessId, crate::EntityTiming>,
+        HashMap<MessageId, crate::MessageTiming>,
+        crate::QueueBounds,
+        HashMap<GraphId, Time>,
+    );
+    type Evaluated = Result<Results, AnalysisError>;
+
+    fn results(
+        evaluator: &Evaluator<'_>,
+        summary: Result<EvalSummary, AnalysisError>,
+    ) -> Evaluated {
+        let summary = summary?;
+        let outcome = evaluator.outcome();
+        Ok((
+            summary,
+            outcome.schedule,
+            outcome.process_timing,
+            outcome.message_timing,
+            outcome.queues,
+            outcome.graph_response,
+        ))
+    }
+
+    /// Evaluates `base`, then `swapped` through the delta path, with the
+    /// worklist order replaced by `order` (`None`: the dependency order the
+    /// evaluator computes). Returns both results and the delta passes run.
+    fn evaluate_both(
+        system: &System,
+        base: &SystemConfig,
+        swapped: &SystemConfig,
+        seeds: &DeltaSeeds,
+        order: Option<&[u32]>,
+    ) -> (Evaluated, Evaluated, u64) {
+        let mut evaluator = Evaluator::new(system, AnalysisParams::default());
+        let full = match order {
+            Some(order) => evaluator.evaluate_in_order_for_test(base, None, order),
+            None => evaluator.evaluate(base),
+        };
+        let full = results(&evaluator, full);
+        let delta = match order {
+            Some(order) => evaluator.evaluate_in_order_for_test(swapped, Some(seeds), order),
+            None => evaluator.evaluate_delta(swapped, seeds),
+        };
+        let delta = results(&evaluator, delta);
+        (full, delta, evaluator.profile().delta_passes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The worklist's least fixed point does not depend on the order it
+        /// visits entities in: the dependency order, the static key order
+        /// and a random permutation give identical summaries and outcomes,
+        /// on the full path and on the delta path after a priority swap —
+        /// and the delta path matches a full evaluation of the swap.
+        #[test]
+        fn the_fixed_point_does_not_depend_on_the_visiting_order(
+            half_nodes in 1usize..=2,
+            multi_rate in any::<bool>(),
+            seed in 0u64..1_000,
+            shuffle in any::<u64>(),
+        ) {
+            let nodes = 2 * half_nodes;
+            let params = if multi_rate {
+                GeneratorParams::multi_rate(nodes, seed)
+            } else {
+                GeneratorParams::paper_sized(nodes, seed)
+            };
+            let system = generate(&params);
+            let base = plain_config(&system);
+            let mut rng = StdRng::seed_from_u64(shuffle);
+            let mut swapped = base.clone();
+            let mut seeds = DeltaSeeds::new();
+            swap_priorities(&system, &mut swapped, &mut seeds, &mut rng);
+
+            let mut fresh = Evaluator::new(&system, AnalysisParams::default());
+            let n = fresh.worklist_len_for_test();
+            let keys: Vec<u32> = (0..n as u32).collect();
+            let mut shuffled = keys.clone();
+            for i in (1..n).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let full_swapped = fresh.evaluate(&swapped);
+            if full_swapped.is_ok() {
+                // The computed order is a permutation of the keys.
+                let mut sorted = fresh.worklist_order_for_test().to_vec();
+                sorted.sort_unstable();
+                prop_assert_eq!(&sorted, &keys);
+            }
+            let full_swapped = results(&fresh, full_swapped);
+
+            let reference = evaluate_both(&system, &base, &swapped, &seeds, None);
+            prop_assert!(reference.2 > 0, "the swap never took the delta path");
+            prop_assert_eq!(&reference.1, &full_swapped);
+            for order in [&keys, &shuffled] {
+                let other = evaluate_both(&system, &base, &swapped, &seeds, Some(order));
+                prop_assert_eq!(&other.0, &reference.0);
+                prop_assert_eq!(&other.1, &reference.1);
+                prop_assert_eq!(other.2, reference.2);
+            }
+        }
     }
 }

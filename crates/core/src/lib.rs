@@ -106,7 +106,7 @@ mod schedulability;
 mod validate;
 
 pub use batch::{BatchRequest, BatchScratch};
-pub use context::{EvalSummary, Evaluator};
+pub use context::{EvalProfile, EvalSummary, Evaluator};
 pub use delta::DeltaSeeds;
 pub use multicluster::{multi_cluster_scheduling, AnalysisError, AnalysisParams, FifoBound};
 pub use outcome::{AnalysisOutcome, EntityTiming, MessageTiming, QueueBounds};

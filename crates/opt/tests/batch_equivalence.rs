@@ -17,7 +17,8 @@
 use proptest::prelude::*;
 
 use mcs_core::{
-    AnalysisError, AnalysisParams, BatchRequest, BatchScratch, DeltaSeeds, EvalSummary, Evaluator,
+    AnalysisError, AnalysisParams, BatchRequest, BatchScratch, DeltaSeeds, EvalProfile,
+    EvalSummary, Evaluator,
 };
 use mcs_gen::{generate, GeneratorParams};
 use mcs_model::{System, SystemConfig, TdmaConfig};
@@ -125,6 +126,17 @@ fn reused_scratch_follows_the_analysis_params() {
     assert_eq!(results, sequential_results(&mut sequential, &requests));
 }
 
+/// The work an evaluator did between two of its profiles: delta passes,
+/// full passes, waves and recomputations.
+fn work(after: EvalProfile, before: EvalProfile) -> [u64; 4] {
+    [
+        after.delta_passes - before.delta_passes,
+        after.full_passes - before.full_passes,
+        after.waves - before.waves,
+        after.recomputations - before.recomputations,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -146,36 +158,36 @@ proptest! {
 
         let mut batched = Evaluator::new(&system, analysis);
         batched.evaluate(&base).expect("base analyzable");
-        let (d0, f0) = batched.delta_stats();
+        let before = batched.profile();
         let mut scratch = BatchScratch::new();
         let results = batched.evaluate_batch(&mut scratch, &requests);
 
         prop_assert_eq!(&results, &expected);
-        let (d1, f1) = batched.delta_stats();
+        let [delta_passes, full_passes, ..] = work(batched.profile(), before);
         // The primary stamped its baseline in `evaluate(&base)`, so lanes
         // extend it for every non-structural candidate: the comparison
         // above really pits the delta path against the full one.
         if requests.iter().any(|r| !r.seeds.is_structural()) {
-            prop_assert!(d1 > d0, "no lane took the delta path ({} full passes)", f1 - f0);
+            prop_assert!(delta_passes > 0, "no lane took the delta path ({full_passes} full passes)");
         }
 
-        // Each result — and each lane's holistic-pass count, folded into the
+        // Each result — and each lane's work counters, folded into the
         // primary's aggregate — matches a from-base reference evaluator
         // making the very call the lane made.
-        let mut reference_gain = (0u64, 0u64);
+        let mut reference_gain = [0u64; 4];
         for (request, result) in requests.iter().zip(&results) {
             let mut fresh = Evaluator::new(&system, analysis);
             fresh.evaluate(&base).expect("base analyzable");
-            let (rd0, rf0) = fresh.delta_stats();
+            let start = fresh.profile();
             prop_assert_eq!(result, &fresh.evaluate_delta(&request.config, &request.seeds));
-            let (rd1, rf1) = fresh.delta_stats();
-            reference_gain.0 += rd1 - rd0;
-            reference_gain.1 += rf1 - rf0;
+            for (sum, gain) in reference_gain.iter_mut().zip(work(fresh.profile(), start)) {
+                *sum += gain;
+            }
         }
         prop_assert_eq!(
-            (d1 - d0, f1 - f0),
+            work(batched.profile(), before),
             reference_gain,
-            "the folded pass counts match the per-candidate references"
+            "the folded work counters match the per-candidate references"
         );
 
         // Re-running a second (smaller) batch reuses the lanes.

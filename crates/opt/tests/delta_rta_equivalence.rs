@@ -12,9 +12,9 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use mcs_core::{AnalysisParams, DeltaSeeds, EvalSummary, Evaluator};
-use mcs_gen::{generate, GeneratorParams};
-use mcs_model::{System, SystemConfig};
+use mcs_core::{AnalysisParams, DeltaSeeds, EvalProfile, EvalSummary, Evaluator};
+use mcs_gen::{generate, GeneratorParams, PeriodMultipliers};
+use mcs_model::{MessageRoute, System, SystemConfig};
 use mcs_opt::{
     evaluate, hopa_priorities, neighborhood, sa_start, straightforward_config, Move, MoveSampler,
     SaParams,
@@ -244,13 +244,13 @@ fn sas_trace(system: &System, start: &SystemConfig, len: usize) -> Vec<(Move, bo
 /// Replays `trace` from `start` through `evaluate_delta` (or, with `delta`
 /// off, through `evaluate`), keeping accepted moves and reverting the rest
 /// as the search loops do. Returns the last feasible summary and the
-/// evaluator's `delta_stats()`.
+/// evaluator's work counters.
 fn replay(
     system: &System,
     start: &SystemConfig,
     trace: &[(Move, bool)],
     delta: bool,
-) -> (EvalSummary, (u64, u64)) {
+) -> (EvalSummary, EvalProfile) {
     let mut evaluator = Evaluator::new(system, AnalysisParams::default());
     let mut config = start.clone();
     let mut seeds = DeltaSeeds::new();
@@ -272,7 +272,27 @@ fn replay(
         undo.record_seeds(&mut seeds);
         undo.revert(&mut config);
     }
-    (last, evaluator.delta_stats())
+    (last, evaluator.profile())
+}
+
+/// The entities the holistic worklist analyzes: every ET process, every
+/// CAN leg and every `Out_TTP` FIFO leg.
+fn worklist_entities(system: &System) -> u64 {
+    let app = &system.application;
+    let et_procs = app
+        .processes()
+        .iter()
+        .filter(|p| !system.architecture.is_tt_cpu(p.node()))
+        .count();
+    let legs: usize = app
+        .messages()
+        .iter()
+        .map(|m| {
+            let route = system.route(m.id());
+            usize::from(route.uses_can()) + usize::from(route == MessageRoute::EtcToTtc)
+        })
+        .sum();
+    (et_procs + legs) as u64
 }
 
 /// A 300-move SAS trace on the Fig-9c instance (160 processes, 10
@@ -281,20 +301,59 @@ fn replay(
 /// holistic passes between the restricted delta pass and the full fixed
 /// point stays where it was recorded. A change that makes the delta path
 /// fall back more often, or restrict where it did not, moves the split.
+///
+/// The worklist's waves and recomputations of both replays are pinned
+/// too. On the single-rate instance every priority assignment of the trace
+/// leaves the dependency graph acyclic, so the full replay runs exactly one
+/// wave per pass and visits every entity once per pass; a change to the
+/// visiting order that loses that shows here first.
 #[test]
 fn fig9c_sa_trace_keeps_its_delta_pass_split() {
-    for (mut params, split) in [
-        (GeneratorParams::paper_sized(4, 1_000), (530, 70)),
-        (GeneratorParams::multi_rate(4, 1_000), (558, 42)),
+    for (mut params, split, full_work, delta_work) in [
+        (
+            GeneratorParams::paper_sized(4, 1_000),
+            (530, 70),
+            (600, 72_600),
+            (492, 29_512),
+        ),
+        (
+            GeneratorParams::multi_rate(4, 1_000),
+            (558, 42),
+            (2_228, 147_594),
+            (1_228, 51_656),
+        ),
     ] {
         params.inter_cluster_messages = Some(10);
         let system = generate(&params);
         let start = sa_start(&system);
         let trace = sas_trace(&system, &start, 300);
         assert_eq!(trace.len(), 300);
-        let (full, _) = replay(&system, &start, &trace, false);
-        let (delta, passes) = replay(&system, &start, &trace, true);
+        let (full, full_profile) = replay(&system, &start, &trace, false);
+        let (delta, profile) = replay(&system, &start, &trace, true);
         assert_eq!(delta, full, "the delta replay drifted from the full one");
-        assert_eq!(passes, split, "(delta, full) holistic passes");
+        assert_eq!(
+            (profile.delta_passes, profile.full_passes),
+            split,
+            "(delta, full) holistic passes"
+        );
+        if params.period_multipliers == PeriodMultipliers::SINGLE {
+            let passes = full_profile.full_passes;
+            assert_eq!(full_profile.waves, passes, "one wave per full pass");
+            assert_eq!(
+                full_profile.recomputations,
+                worklist_entities(&system) * passes,
+                "one recomputation per entity per full pass"
+            );
+        }
+        assert_eq!(
+            (full_profile.waves, full_profile.recomputations),
+            full_work,
+            "(waves, recomputations) of the full replay"
+        );
+        assert_eq!(
+            (profile.waves, profile.recomputations),
+            delta_work,
+            "(waves, recomputations) of the delta replay"
+        );
     }
 }
