@@ -207,8 +207,9 @@ pub fn point_reports<const N: usize>(point: &[JobRecord]) -> Option<[&SynthesisR
 }
 
 /// Writes one [`JobRecord`] JSON line per record to `path` (overwriting)
-/// and reports where they went. Errors are printed, not propagated —
-/// machine-readable records must never fail a sweep.
+/// and reports where they went on stderr, so a sweep's stdout is its table
+/// alone. Errors are printed, not propagated — machine-readable records
+/// must never fail a sweep.
 pub fn write_jsonl(path: &Path, records: &[JobRecord]) {
     let file = match std::fs::File::create(path) {
         Ok(f) => f,
@@ -226,7 +227,7 @@ pub fn write_jsonl(path: &Path, records: &[JobRecord]) {
     }
     let n = writer.records();
     match writer.finish() {
-        Ok(_) => println!("recorded {n} experiment records in {}", path.display()),
+        Ok(_) => eprintln!("recorded {n} experiment records in {}", path.display()),
         Err(e) => eprintln!("could not flush {}: {e}", path.display()),
     }
 }

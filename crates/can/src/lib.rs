@@ -30,6 +30,6 @@ pub use frame::{
     frame_bits, frame_time, frames_needed, max_frame_time, message_time, MAX_FRAME_PAYLOAD,
 };
 pub use rta::{
-    blocking_bound, queue_size_bound, queuing_delay, queuing_delay_from, queuing_delay_sorted,
-    queuing_delays, sound_phase, CanFlow,
+    blocking_bound, interfering_activations, queue_size_bound, queuing_delay, queuing_delay_from,
+    queuing_delay_sorted, queuing_delays, sound_phase, CanFlow,
 };

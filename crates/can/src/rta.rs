@@ -58,9 +58,8 @@ pub fn blocking_bound(flows: &[CanFlow], m: usize) -> Time {
         .fold(Time::ZERO, Time::max)
 }
 
-/// Number of activations of `j` falling in a busy window of length `w` of
-/// flow `m`, with the ε-tick guard that makes simultaneous zero-jitter
-/// releases count as interference.
+/// The carry-in-safe phase of interferer `j` in flow `m`'s busy window
+/// ([`sound_phase`]; offsets phase only flows of the same transaction).
 ///
 /// Offset phasing is applied only when provably sound:
 ///
@@ -69,21 +68,51 @@ pub fn blocking_bound(flows: &[CanFlow], m: usize) -> Time {
 /// * no reduction at all is taken when an earlier instance of `j` can carry
 ///   work into `m`'s busy window (`r_j` too large relative to the
 ///   separation).
-fn activations(w: Time, m: &CanFlow, j: &CanFlow) -> u64 {
-    let phase = sound_phase(
+fn phase(m: &CanFlow, j: &CanFlow) -> Time {
+    sound_phase(
         m.offset,
         m.jitter,
         j.offset,
         j.period,
         j.response,
         matches!((m.transaction, j.transaction), (Some(a), Some(b)) if a == b),
-    );
-    let window = (w + j.jitter + Time::from_ticks(1)).saturating_sub(phase);
-    if window.is_zero() {
+    )
+}
+
+/// Number of activations of `j` falling in a busy window of length `w` of
+/// flow `m` (see [`interfering_activations`]).
+fn activations(w: Time, m: &CanFlow, j: &CanFlow) -> u64 {
+    interfering_activations(w, phase(m, j), j.jitter, j.period).0
+}
+
+/// Number of activations `n = ⌈(w + J + ε − φ)⁺ / T⌉` of an interferer with
+/// release jitter `J` and period `T`, phased `φ` away from the busy window,
+/// that fall in a window of length `w` — the ε tick makes simultaneous
+/// zero-jitter releases count as interference — together with
+/// `stable = n·T + φ − (J + ε)`, the largest window over which that count
+/// stays `n` (`stable ≥ w`; saturating, so it can only err low).
+///
+/// Every interference term of the analysis counts activations here; the
+/// sorted kernels use `stable` to stop at the first iterate that provably
+/// cannot move.
+///
+/// # Panics
+///
+/// Panics if `period` is zero and the window is not empty.
+#[inline]
+pub fn interfering_activations(w: Time, phase: Time, jitter: Time, period: Time) -> (u64, Time) {
+    let reach = jitter + Time::from_ticks(1);
+    let window = (w + reach).saturating_sub(phase);
+    let n = if window.is_zero() {
         0
     } else {
-        window.div_ceil(j.period)
-    }
+        window.div_ceil(period)
+    };
+    let stable = period
+        .saturating_mul(n)
+        .saturating_add(phase)
+        .saturating_sub(reach);
+    (n, stable)
 }
 
 /// The carry-in-safe phase reduction shared by all interference terms.
@@ -198,6 +227,18 @@ pub fn queuing_delay_from(flows: &[CanFlow], m: usize, horizon: Time, hint: Time
 /// [`blocking_bound`] (a suffix maximum when sorted). Produces bit-identical
 /// results to the generic form, skipping the per-call priority filtering
 /// and blocking scans — the shape the reusable analysis context calls with.
+/// Each pass over the prefix adds one to `passes`.
+///
+/// # Early exit
+///
+/// The pass that sums the interference at iterate `w` also takes
+/// `stable = min_j` of each interferer's [`interfering_activations`] bound:
+/// up to `stable`, no activation count differs from its count at `w`. So
+/// when `next = B + interference` lands in `[w, stable]`, the interference
+/// at `next` is the one just summed and `next` is the fixed point — the
+/// value the generic loop returns after one more, confirming pass. A `next`
+/// below `w` (a warm-start hint above the fixed point) keeps iterating, as
+/// the generic loop does.
 ///
 /// # Panics
 ///
@@ -208,20 +249,28 @@ pub fn queuing_delay_sorted(
     blocking: Time,
     horizon: Time,
     hint: Time,
+    passes: &mut u64,
 ) -> Option<Time> {
     let me = &flows[m];
     let mut w = blocking.max(hint);
     loop {
-        let interference: Time = flows[..m]
-            .iter()
-            .map(|j| j.transmission.saturating_mul(activations(w, me, j)))
-            .fold(Time::ZERO, Time::saturating_add);
+        *passes += 1;
+        let mut interference = Time::ZERO;
+        let mut stable = Time::MAX;
+        for j in &flows[..m] {
+            let (n, until) = interfering_activations(w, phase(me, j), j.jitter, j.period);
+            interference = interference.saturating_add(j.transmission.saturating_mul(n));
+            stable = stable.min(until);
+        }
         let next = blocking.saturating_add(interference);
         if next > horizon {
             return None;
         }
         if next == w {
             return Some(w);
+        }
+        if w < next && next <= stable {
+            return Some(next);
         }
         w = next;
     }
@@ -295,6 +344,22 @@ mod tests {
         // Window w: ceil((w + 9 + ε)/10) activations of hi.
         // w = 2: ceil(11.001/10) = 2 -> w = 4; ceil(13.001/10) = 2 -> stable.
         assert_eq!(w, Time::from_millis(4));
+    }
+
+    #[test]
+    fn sorted_kernel_skips_the_confirming_pass() {
+        // The flows of `jitter_adds_interfering_activations`: the generic
+        // loop visits w = 0, 2, 4 and confirms 4 on a third pass. At w = 2 the sorted kernel sees two activations
+        // of hi, which stay two for any window up to 10.999 ms, so it
+        // returns next = 4 ms after the second pass.
+        let mut hi = flow(0, 10, 2);
+        hi.jitter = Time::from_millis(9);
+        let flows = vec![hi, flow(1, 100, 1)];
+        let horizon = Time::from_millis(1000);
+        let mut passes = 0;
+        let w = queuing_delay_sorted(&flows, 1, Time::ZERO, horizon, Time::ZERO, &mut passes);
+        assert_eq!(w, queuing_delay(&flows, 1, horizon));
+        assert_eq!((w, passes), (Some(Time::from_millis(4)), 2));
     }
 
     #[test]

@@ -570,12 +570,27 @@ pub struct EvalProfile {
     /// Entity recomputations (ET process, CAN leg and FIFO leg visits) over
     /// the same passes.
     pub recomputations: u64,
+    /// Passes of the CPU busy-window kernel over its higher-priority prefix,
+    /// over the same recomputations.
+    pub cpu_kernel_passes: u64,
+    /// Passes of the CAN queuing-delay kernel over its higher-priority
+    /// prefix, over the same recomputations.
+    pub can_kernel_passes: u64,
+    /// Outer iterations whose TTC schedule inputs hit the schedule memo.
+    pub schedule_hits: u64,
+    /// Outer iterations that rebuilt the schedule and diffed it against the
+    /// memoized one, feeding the moved placements into the delta cone.
+    pub schedule_diffs: u64,
+    /// Outer iterations that rebuilt the schedule without a diff.
+    pub schedule_rebuilds: u64,
 }
 
 impl EvalProfile {
     fn count(&mut self, solve: Solve) {
         self.waves += solve.waves;
         self.recomputations += solve.recomputations;
+        self.cpu_kernel_passes += solve.cpu_passes;
+        self.can_kernel_passes += solve.can_passes;
     }
 }
 
@@ -585,6 +600,11 @@ impl std::ops::AddAssign for EvalProfile {
         self.full_passes += other.full_passes;
         self.waves += other.waves;
         self.recomputations += other.recomputations;
+        self.cpu_kernel_passes += other.cpu_kernel_passes;
+        self.can_kernel_passes += other.can_kernel_passes;
+        self.schedule_hits += other.schedule_hits;
+        self.schedule_diffs += other.schedule_diffs;
+        self.schedule_rebuilds += other.schedule_rebuilds;
     }
 }
 
@@ -935,7 +955,9 @@ impl<'s> Evaluator<'s> {
             };
             self.diff_procs.clear();
             self.diff_msgs.clear();
-            if !hit {
+            if hit {
+                self.profile.schedule_hits += 1;
+            } else {
                 // Can the rebuilt schedule still extend this slot's
                 // snapshot? Only if the snapshot is a stable, converged
                 // state of the delta base — then the rebuild is staged and
@@ -956,6 +978,7 @@ impl<'s> Evaluator<'s> {
                     message_releases: &self.scratch.msg_release,
                 };
                 if diffable {
+                    self.profile.schedule_diffs += 1;
                     list_schedule_dense_into(&input, &self.sched_priorities, &mut self.sched_tmp)?;
                     self.sched_tmp.diff_into(
                         &entry.schedule,
@@ -966,6 +989,7 @@ impl<'s> Evaluator<'s> {
                     // The snapshot stays stamped: the diff seeds cover
                     // everything the rebuild moved.
                 } else {
+                    self.profile.schedule_rebuilds += 1;
                     entry.analysis.run = 0;
                     list_schedule_dense_into(&input, &self.sched_priorities, &mut entry.schedule)?;
                 }

@@ -122,6 +122,10 @@ pub(crate) struct Solve {
     pub waves: u64,
     /// Entity recomputations (process, CAN leg and FIFO leg visits).
     pub recomputations: u64,
+    /// Fixed-point passes of the CPU busy-window kernel.
+    pub cpu_passes: u64,
+    /// Fixed-point passes of the CAN queuing-delay kernel.
+    pub can_passes: u64,
 }
 
 /// One holistic analysis pass over a fixed TTC schedule, reading the shared
@@ -278,6 +282,8 @@ impl Holistic<'_> {
             quiescent: false,
             waves: 0,
             recomputations: 0,
+            cpu_passes: 0,
+            can_passes: 0,
         };
         for _ in 0..self.max_iterations {
             if self.s.wl_current.is_empty() {
@@ -292,8 +298,8 @@ impl Holistic<'_> {
                 i += 1;
                 self.s.wl_pending[key as usize] = false;
                 match ctx.wl_entities[key as usize] {
-                    WlEntity::Proc(pi) => self.recompute_proc(pi as usize),
-                    WlEntity::Can(mi) => self.recompute_can(mi as usize),
+                    WlEntity::Proc(pi) => self.recompute_proc(pi as usize, &mut solve.cpu_passes),
+                    WlEntity::Can(mi) => self.recompute_can(mi as usize, &mut solve.can_passes),
                     WlEntity::Fifo(mi) => self.recompute_fifo(mi as usize),
                 }
             }
@@ -312,7 +318,7 @@ impl Holistic<'_> {
     /// Recomputes one ET process: jitter from the predecessors' current
     /// values, busy window against the CPU's rank prefix, then requeue the
     /// dependents whose inputs the result actually changed.
-    fn recompute_proc(&mut self, pi: usize) {
+    fn recompute_proc(&mut self, pi: usize, passes: &mut u64) {
         let ctx = self.ctx;
         let app = &self.system.application;
         let schedule = self.schedule;
@@ -335,8 +341,13 @@ impl Holistic<'_> {
         let old = s.task_arrays[ni][idx];
         s.task_arrays[ni][idx].jitter = s.pj[pi];
         s.task_arrays[ni][idx].offset = s.po[pi];
-        let delay =
-            crate::rta::interference_delay_sorted(&s.task_arrays[ni], idx, self.horizon, s.pw[pi]);
+        let delay = crate::rta::interference_delay_sorted(
+            &s.task_arrays[ni],
+            idx,
+            self.horizon,
+            s.pw[pi],
+            passes,
+        );
         let w = match delay {
             Some(w) => w,
             None => {
@@ -397,7 +408,7 @@ impl Holistic<'_> {
     /// Recomputes one CAN leg: enqueue offset/jitter from the sender's
     /// current state, queuing delay against the bus priority prefix, then
     /// requeue the dependents the result actually changed.
-    fn recompute_can(&mut self, mi: usize) {
+    fn recompute_can(&mut self, mi: usize, passes: &mut u64) {
         let ctx = self.ctx;
         let r_transfer = self.system.gateway.transfer_response();
         let k = self.s.can_pos[mi];
@@ -419,6 +430,7 @@ impl Holistic<'_> {
             s.can_blocking[k],
             self.horizon,
             s.can_w[mi],
+            passes,
         );
         let w = match delay {
             Some(w) => w,

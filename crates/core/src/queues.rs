@@ -14,7 +14,7 @@
 //!
 //! and the FIFO buffer bound is `s_Out^TTP = max_m (S_m + I_m)`.
 
-use mcs_can::sound_phase;
+use mcs_can::{interfering_activations, sound_phase};
 use mcs_model::Time;
 
 /// One ETC→TTC message flowing through the `Out_TTP` FIFO.
@@ -84,12 +84,7 @@ fn queued_ahead_of(flows: &[FifoFlow], m: usize, w: Time) -> u64 {
                 same_transaction(me.transaction, j.transaction),
             );
             // The window uses m's own jitter (paper eq. for I_m).
-            let window = (w + me.jitter + Time::from_ticks(1)).saturating_sub(phase);
-            let count = if window.is_zero() {
-                0
-            } else {
-                window.div_ceil(j.period)
-            };
+            let (count, _) = interfering_activations(w, phase, me.jitter, j.period);
             u64::from(j.size_bytes) * count
         })
         .sum()

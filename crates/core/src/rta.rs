@@ -45,25 +45,23 @@ fn same_transaction(a: Option<u32>, b: Option<u32>) -> bool {
     matches!((a, b), (Some(x), Some(y)) if x == y)
 }
 
-/// Number of activations of `j` interfering within a busy window `w` of `i`,
-/// with the ε-tick guard making simultaneous zero-jitter releases count.
-/// Offset phasing follows the carry-in-safe rule of
-/// [`mcs_can::sound_phase`].
-fn activations(w: Time, i: &TaskFlow, j: &TaskFlow) -> u64 {
-    let phase = mcs_can::sound_phase(
+/// The carry-in-safe phase of `j` in `i`'s busy window
+/// ([`mcs_can::sound_phase`]).
+fn phase(i: &TaskFlow, j: &TaskFlow) -> Time {
+    mcs_can::sound_phase(
         i.offset,
         i.jitter,
         j.offset,
         j.period,
         j.response,
         same_transaction(i.transaction, j.transaction),
-    );
-    let window = (w + j.jitter + Time::from_ticks(1)).saturating_sub(phase);
-    if window.is_zero() {
-        0
-    } else {
-        window.div_ceil(j.period)
-    }
+    )
+}
+
+/// Number of activations of `j` interfering within a busy window `w` of `i`
+/// (see [`mcs_can::interfering_activations`]).
+fn activations(w: Time, i: &TaskFlow, j: &TaskFlow) -> u64 {
+    mcs_can::interfering_activations(w, phase(i, j), j.jitter, j.period).0
 }
 
 /// Computes the interference delay `w_i` of every task on one CPU.
@@ -137,7 +135,17 @@ pub fn interference_delay_from(
 /// [`interference_delay_from`] over tasks **pre-sorted by ascending rank**
 /// (unique ranks): `tasks[..i]` is exactly the higher-priority set.
 /// Bit-identical to the generic form, without the per-call rank filtering —
-/// the shape the reusable analysis context calls with.
+/// the shape the reusable analysis context calls with. Each pass over the
+/// prefix adds one to `passes`.
+///
+/// # Early exit
+///
+/// As in [`mcs_can::queuing_delay_sorted`]: the pass at window `q` also
+/// takes the smallest [`mcs_can::interfering_activations`] `stable` bound
+/// of the prefix, and a `next` window in `[q, stable]` sees exactly the
+/// interference just summed, so it is the fixed point and is returned
+/// without the generic loop's confirming pass. The result is still
+/// `q − C_i`.
 ///
 /// # Panics
 ///
@@ -147,21 +155,29 @@ pub fn interference_delay_sorted(
     i: usize,
     horizon: Time,
     hint: Time,
+    passes: &mut u64,
 ) -> Option<Time> {
     let me = &tasks[i];
     let base = me.blocking.saturating_add(me.wcet);
     let mut q = base.max(hint.saturating_add(me.wcet));
     loop {
-        let interference: Time = tasks[..i]
-            .iter()
-            .map(|j| j.wcet.saturating_mul(activations(q, me, j)))
-            .fold(Time::ZERO, Time::saturating_add);
+        *passes += 1;
+        let mut interference = Time::ZERO;
+        let mut stable = Time::MAX;
+        for j in &tasks[..i] {
+            let (n, until) = mcs_can::interfering_activations(q, phase(me, j), j.jitter, j.period);
+            interference = interference.saturating_add(j.wcet.saturating_mul(n));
+            stable = stable.min(until);
+        }
         let next = base.saturating_add(interference);
         if next > horizon {
             return None;
         }
         if next == q {
             return Some(q - me.wcet);
+        }
+        if q < next && next <= stable {
+            return Some(next - me.wcet);
         }
         q = next;
     }
@@ -192,6 +208,20 @@ mod tests {
         assert_eq!(w[0], Some(Time::ZERO));
         // Busy window for task 1: w=0 -> 1 activation -> w=1; w=1 -> 1 -> ok.
         assert_eq!(w[1], Some(Time::from_millis(1)));
+    }
+
+    #[test]
+    fn sorted_kernel_skips_the_confirming_pass() {
+        // The low task's first window q = C = 2 ms holds one activation of
+        // the high task, and so does any window up to 3.999 ms: q = 3 ms is
+        // the fixed point after one pass, which the generic loop confirms
+        // with a second.
+        let tasks = vec![task(0, 4, 1), task(1, 10, 2)];
+        let horizon = Time::from_millis(100);
+        let mut passes = 0;
+        let w = interference_delay_sorted(&tasks, 1, horizon, Time::ZERO, &mut passes);
+        assert_eq!(w, interference_delay(&tasks, 1, horizon));
+        assert_eq!((w, passes), (Some(Time::from_millis(1)), 1));
     }
 
     #[test]

@@ -127,13 +127,19 @@ fn reused_scratch_follows_the_analysis_params() {
 }
 
 /// The work an evaluator did between two of its profiles: delta passes,
-/// full passes, waves and recomputations.
-fn work(after: EvalProfile, before: EvalProfile) -> [u64; 4] {
+/// full passes, waves, recomputations, CPU and CAN kernel passes, and the
+/// schedule memo's hits, diffed rebuilds and plain rebuilds.
+fn work(after: EvalProfile, before: EvalProfile) -> [u64; 9] {
     [
         after.delta_passes - before.delta_passes,
         after.full_passes - before.full_passes,
         after.waves - before.waves,
         after.recomputations - before.recomputations,
+        after.cpu_kernel_passes - before.cpu_kernel_passes,
+        after.can_kernel_passes - before.can_kernel_passes,
+        after.schedule_hits - before.schedule_hits,
+        after.schedule_diffs - before.schedule_diffs,
+        after.schedule_rebuilds - before.schedule_rebuilds,
     ]
 }
 
@@ -174,7 +180,7 @@ proptest! {
         // Each result — and each lane's work counters, folded into the
         // primary's aggregate — matches a from-base reference evaluator
         // making the very call the lane made.
-        let mut reference_gain = [0u64; 4];
+        let mut reference_gain = [0u64; 9];
         for (request, result) in requests.iter().zip(&results) {
             let mut fresh = Evaluator::new(&system, analysis);
             fresh.evaluate(&base).expect("base analyzable");

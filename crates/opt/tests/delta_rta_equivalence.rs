@@ -306,21 +306,41 @@ fn worklist_entities(system: &System) -> u64 {
 /// too. On the single-rate instance every priority assignment of the trace
 /// leaves the dependency graph acyclic, so the full replay runs exactly one
 /// wave per pass and visits every entity once per pass; a change to the
-/// visiting order that loses that shows here first.
+/// visiting order that loses that shows here first. So are the CPU and CAN
+/// kernels' passes over their higher-priority prefixes (a kernel that loses
+/// its early exit makes more) and the schedule memo's outcome per outer
+/// iteration: hit, diffed rebuild or plain rebuild.
 #[test]
 fn fig9c_sa_trace_keeps_its_delta_pass_split() {
-    for (mut params, split, full_work, delta_work) in [
+    /// (waves, recomputations, CPU kernel passes, CAN kernel passes).
+    fn work(p: EvalProfile) -> (u64, u64, u64, u64) {
+        (
+            p.waves,
+            p.recomputations,
+            p.cpu_kernel_passes,
+            p.can_kernel_passes,
+        )
+    }
+    /// (memo hits, diffed rebuilds, plain rebuilds).
+    fn memo(p: EvalProfile) -> (u64, u64, u64) {
+        (p.schedule_hits, p.schedule_diffs, p.schedule_rebuilds)
+    }
+    for (mut params, split, full_work, delta_work, full_memo, delta_memo) in [
         (
             GeneratorParams::paper_sized(4, 1_000),
             (530, 70),
-            (600, 72_600),
-            (492, 29_512),
+            (600, 72_600, 50_194, 23_932),
+            (492, 29_512, 21_106, 9_414),
+            (346, 0, 254),
+            (346, 186, 68),
         ),
         (
             GeneratorParams::multi_rate(4, 1_000),
             (558, 42),
-            (2_228, 147_594),
-            (1_228, 51_656),
+            (2_228, 147_594, 96_412, 47_544),
+            (1_228, 51_656, 33_602, 16_650),
+            (336, 0, 264),
+            (336, 223, 41),
         ),
     ] {
         params.inter_cluster_messages = Some(10);
@@ -346,14 +366,24 @@ fn fig9c_sa_trace_keeps_its_delta_pass_split() {
             );
         }
         assert_eq!(
-            (full_profile.waves, full_profile.recomputations),
+            work(full_profile),
             full_work,
-            "(waves, recomputations) of the full replay"
+            "(waves, recomputations, CPU and CAN kernel passes) of the full replay"
         );
         assert_eq!(
-            (profile.waves, profile.recomputations),
+            work(profile),
             delta_work,
-            "(waves, recomputations) of the delta replay"
+            "(waves, recomputations, CPU and CAN kernel passes) of the delta replay"
+        );
+        assert_eq!(
+            memo(full_profile),
+            full_memo,
+            "(hits, diffed rebuilds, rebuilds) of the full replay's schedule memo"
+        );
+        assert_eq!(
+            memo(profile),
+            delta_memo,
+            "(hits, diffed rebuilds, rebuilds) of the delta replay's schedule memo"
         );
     }
 }

@@ -18,12 +18,31 @@
 //! Traffic arriving from the ETC through the gateway's `Out_TTP` FIFO is
 //! *not* placed here — its arrival is bounded analytically and enters as a
 //! release on the destination process.
+//!
+//! # Picking the next process
+//!
+//! Each step commits the ready process minimizing
+//! `(max(bound, node_free[node]), Reverse(critical path), id)`: earliest
+//! start first, the longer critical path on a tie, then the id. The key is
+//! a total order, so the minimum decomposes per TT node, and a node's free
+//! time only grows. Each node therefore keeps two heaps: processes whose
+//! bound is past its free time wait, keyed by `(bound, Reverse(critical
+//! path), id)`; the rest are released and start at the free time, keyed by
+//! `(Reverse(critical path), id)`. A node's next process is its released
+//! head if any, else its waiting head; a commit moves the waiting processes
+//! its node's new free time has passed. The step takes the minimum over the
+//! nodes' heads, which is exactly the process a scan of the ready list
+//! finds.
+//!
+//! Frames pack into a slot table timed once per pass: a dense node → slot
+//! map, and per slot the bytes used by each occupied round, sorted by round
+//! and searched by bisection.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
-use mcs_model::{MessageId, MessageRoute, NodeId, ProcessId, System, TdmaConfig, Time};
+use mcs_model::{MessageId, MessageRoute, NodeId, ProcessId, SlotId, System, TdmaConfig, Time};
 
-use crate::rounds::RoundSchedule;
 use crate::schedule::{FramePlacement, TtcSchedule};
 
 /// Error produced by the list scheduler.
@@ -133,12 +152,14 @@ pub fn list_schedule(input: &SchedulerInput<'_>) -> Result<TtcSchedule, Schedule
 }
 
 /// Reusable form of [`list_schedule`] over a [`DenseSchedulerInput`]: the
-/// allocation-free scheduling entry point of the reusable analysis context.
-/// It clears and refills `schedule` in place (keeping its allocations),
-/// reads release bounds by index (no hash map is flattened per pass), and
-/// takes the critical-path priorities as an input so a caller iterating
-/// schedule ↔ analysis fixed points computes them once per TDMA
-/// configuration instead of once per pass.
+/// scheduling entry point of the reusable analysis context. It clears and
+/// refills `schedule` in place (keeping its allocations), reads release
+/// bounds by index (no hash map is flattened per pass), and takes the
+/// critical-path priorities as an input so a caller iterating schedule ↔
+/// analysis fixed points computes them once per TDMA configuration instead
+/// of once per pass. Each pass allocates its own working state: the
+/// per-node ready heaps (see the module docs), the slot table with its
+/// per-slot occupancy lists, and the node and predecessor counters.
 ///
 /// # Errors
 ///
@@ -184,16 +205,52 @@ pub fn critical_path_priorities_into(system: &System, tdma: &TdmaConfig, prio: &
     }
 }
 
+/// One slot of the TDMA round, timed once per scheduling pass, with the
+/// bytes already packed into its occurrences.
+struct SlotState {
+    offset: Time,
+    duration: Time,
+    capacity: u32,
+    /// `(round, bytes)` of every occurrence holding a frame, sorted by
+    /// round. Sparse, so a release near the horizon costs one entry, not
+    /// one per round before it.
+    used: Vec<(u64, u32)>,
+}
+
+/// The ready TT processes of one node, split by the node's free time (see
+/// the module docs).
+#[derive(Default)]
+struct NodeQueue {
+    /// Bound above the node's free time, min-first by
+    /// `(bound, Reverse(priority), id)`.
+    waiting: BinaryHeap<Reverse<(Time, Reverse<Time>, ProcessId)>>,
+    /// Bound at or below the node's free time, max-first by
+    /// `(priority, Reverse(id))`.
+    released: BinaryHeap<(Time, Reverse<ProcessId>)>,
+}
+
+impl NodeQueue {
+    /// This node's next process and its start time, given its free time.
+    fn head(&self, free: Time) -> Option<(Time, Reverse<Time>, ProcessId)> {
+        match self.released.peek() {
+            Some(&(prio, Reverse(p))) => Some((free, Reverse(prio), p)),
+            None => self.waiting.peek().map(|&Reverse(key)| key),
+        }
+    }
+}
+
 struct Scheduler<'a> {
     input: &'a DenseSchedulerInput<'a>,
-    rounds: RoundSchedule<'a>,
     /// Critical-path priority per process (dense index).
     priorities: &'a [Time],
-    /// Bytes already packed into each (slot, round) occurrence.
-    frame_usage: HashMap<(u32, u64), u32>,
     schedule: &'a mut TtcSchedule,
     /// Earliest idle instant per node (dense index).
     node_free: Vec<Time>,
+    /// The TDMA round duration.
+    round: Time,
+    slots: Vec<SlotState>,
+    /// The slot owned by each node (dense index).
+    slot_of_node: Vec<Option<SlotId>>,
 }
 
 impl<'a> Scheduler<'a> {
@@ -205,15 +262,33 @@ impl<'a> Scheduler<'a> {
         if input.tdma.slots().is_empty() {
             return Err(ScheduleError::EmptyRound);
         }
-        let rounds = RoundSchedule::new(input.tdma, input.system.architecture.ttp_params());
-        let node_free = vec![Time::ZERO; input.system.architecture.nodes().len()];
+        let params = input.system.architecture.ttp_params();
+        let nodes = input.system.architecture.nodes().len();
+        let mut slot_of_node = vec![None; nodes];
+        let mut slots = Vec::with_capacity(input.tdma.slot_count());
+        let mut round = Time::ZERO;
+        for (i, slot) in input.tdma.slots().iter().enumerate() {
+            // The first slot of a node is the one it sends in.
+            if let Some(owner @ None) = slot_of_node.get_mut(slot.node.index()) {
+                *owner = Some(SlotId::new(i as u32));
+            }
+            let duration = params.slot_duration(slot.capacity_bytes);
+            slots.push(SlotState {
+                offset: round,
+                duration,
+                capacity: slot.capacity_bytes,
+                used: Vec::new(),
+            });
+            round += duration;
+        }
         Ok(Scheduler {
             input,
-            rounds,
             priorities,
-            frame_usage: HashMap::new(),
             schedule,
-            node_free,
+            node_free: vec![Time::ZERO; nodes],
+            round,
+            slots,
+            slot_of_node,
         })
     }
 
@@ -257,10 +332,12 @@ impl<'a> Scheduler<'a> {
         // TT processes still waiting for their TT-side predecessors.
         let mut remaining: Vec<usize> = vec![0; app.processes().len()];
         let mut unscheduled = 0usize;
-        // TT processes whose TT-side predecessors are all committed, with
-        // their release/precedence bound: once the last predecessor is
-        // placed, only the node's free time can still move their start.
-        let mut ready: Vec<(ProcessId, Time)> = Vec::new();
+        // TT processes whose TT-side predecessors are all committed, queued
+        // on their node with their release/precedence bound: once the last
+        // predecessor is placed, only the node's free time can still move
+        // their start.
+        let mut queues: Vec<NodeQueue> = Vec::new();
+        queues.resize_with(self.node_free.len(), NodeQueue::default);
         for p in app.processes() {
             if system.architecture.is_tt_cpu(p.node()) {
                 let preds = app
@@ -271,37 +348,65 @@ impl<'a> Scheduler<'a> {
                 remaining[p.id().index()] = preds;
                 unscheduled += 1;
                 if preds == 0 {
-                    ready.push((p.id(), self.ready_bound(p.id())));
+                    self.make_ready(&mut queues, p.id());
                 }
             }
         }
 
         while unscheduled > 0 {
             // Earliest start first; critical path length breaks ties, then
-            // the id (a total order, so the list's order does not matter).
-            let (k, start, p) = ready
+            // the id: the minimum over the nodes' heads.
+            let (start, _, p) = queues
                 .iter()
-                .enumerate()
-                .map(|(k, &(p, bound))| {
-                    let node = app.process(p).node();
-                    (k, bound.max(self.node_free[node.index()]), p)
-                })
-                .min_by_key(|&(_, est, p)| (est, std::cmp::Reverse(self.priorities[p.index()]), p))
+                .zip(&self.node_free)
+                .filter_map(|(queue, &free)| queue.head(free))
+                .min()
                 .expect("acyclic validated graph always has a ready TT process");
-            ready.swap_remove(k);
+            // `p` is its node's head: released if any, else waiting.
+            let node = app.process(p).node().index();
+            let queue = &mut queues[node];
+            if queue.released.pop().is_none() {
+                queue.waiting.pop();
+            }
             self.commit(p, start)?;
             unscheduled -= 1;
+            // The node's free time grew: release the waiting processes it
+            // passed.
+            let free = self.node_free[node];
+            let queue = &mut queues[node];
+            while let Some(&Reverse((bound, Reverse(prio), q))) = queue.waiting.peek() {
+                if bound > free {
+                    break;
+                }
+                queue.waiting.pop();
+                queue.released.push((prio, Reverse(q)));
+            }
             for e in app.successors(p) {
                 let r = &mut remaining[e.dest.index()];
                 if *r > 0 {
                     *r -= 1;
                     if *r == 0 {
-                        ready.push((e.dest, self.ready_bound(e.dest)));
+                        self.make_ready(&mut queues, e.dest);
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Queues a TT process whose TT-side predecessors are all committed on
+    /// its node, released or waiting by its bound.
+    fn make_ready(&self, queues: &mut [NodeQueue], p: ProcessId) {
+        let bound = self.ready_bound(p);
+        let prio = self.priorities[p.index()];
+        let node = self.input.system.application.process(p).node().index();
+        if bound <= self.node_free[node] {
+            queues[node].released.push((prio, Reverse(p)));
+        } else {
+            queues[node]
+                .waiting
+                .push(Reverse((bound, Reverse(prio), p)));
+        }
     }
 
     /// A predecessor gates a TT process through the schedule table only if
@@ -381,32 +486,54 @@ impl<'a> Scheduler<'a> {
         let app = &self.input.system.application;
         let size = app.message(message).size_bytes();
         let slot = self
-            .rounds
-            .slot_of_node(sender_node)
+            .slot_of_node
+            .get(sender_node.index())
+            .copied()
+            .flatten()
             .ok_or(ScheduleError::NoSlotForNode(sender_node))?;
-        let capacity = self.rounds.slot_capacity(slot);
+        let state = &mut self.slots[slot.index()];
+        let capacity = state.capacity;
         if size > capacity {
             return Err(ScheduleError::MessageTooLarge { message, capacity });
         }
-        let mut occ = self.rounds.next_occurrence(slot, ready);
+        assert!(!self.round.is_zero(), "empty TDMA round");
+        // The first occurrence starting at or after `ready`, then on past
+        // the occurrences already full.
+        let mut round = if ready <= state.offset {
+            0
+        } else {
+            (ready - state.offset).div_ceil(self.round)
+        };
+        let mut i = state.used.partition_point(|&(r, _)| r < round);
         loop {
-            let used = self.frame_usage.entry((slot.raw(), occ.round)).or_insert(0);
-            if *used + size <= capacity {
-                *used += size;
-                self.schedule.set_frame(
-                    message,
-                    FramePlacement {
-                        slot,
-                        round: occ.round,
-                        slot_start: occ.start,
-                        arrival: occ.end,
-                    },
-                );
-                self.schedule.extend_makespan(occ.end);
-                return Ok(());
+            match state.used.get_mut(i) {
+                Some((r, used)) if *r == round => {
+                    if *used + size <= capacity {
+                        *used += size;
+                        break;
+                    }
+                    round += 1;
+                    i += 1;
+                }
+                _ => {
+                    state.used.insert(i, (round, size));
+                    break;
+                }
             }
-            occ = self.rounds.advance(occ, 1);
         }
+        let slot_start = self.round.saturating_mul(round) + state.offset;
+        let arrival = slot_start + state.duration;
+        self.schedule.set_frame(
+            message,
+            FramePlacement {
+                slot,
+                round,
+                slot_start,
+                arrival,
+            },
+        );
+        self.schedule.extend_makespan(arrival);
+        Ok(())
     }
 }
 
@@ -589,6 +716,31 @@ mod tests {
         rounds.sort();
         // Only one 6-byte message fits per 8-byte occurrence.
         assert_eq!(rounds, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_frame_far_past_the_first_round_is_placed_sparsely() {
+        // P1 released ~1.9·10^10 rounds out: its frame lands on the first
+        // N1 slot after P1 finishes, and occupancy is kept for that round
+        // alone, not for every round before it.
+        let (system, tdma) = fixture();
+        let (mut pr, mr) = empty_releases();
+        let far = Time::from_ticks(1 << 50);
+        pr.insert(ProcessId::new(0), far);
+        let input = SchedulerInput {
+            system: &system,
+            tdma: &tdma,
+            process_releases: &pr,
+            message_releases: &mr,
+        };
+        let s = list_schedule(&input).expect("schedulable");
+        let rounds = crate::RoundSchedule::new(&tdma, system.architecture.ttp_params());
+        let expected = rounds.next_occurrence(SlotId::new(1), far + Time::from_millis(30));
+        let f0 = s.frame(MessageId::new(0)).expect("placed");
+        assert_eq!(
+            (f0.round, f0.slot_start, f0.arrival),
+            (expected.round, expected.start, expected.end)
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! A TDMA round is the fixed sequence of slots configured in a
 //! [`TdmaConfig`]; rounds repeat back to back forever. These helpers answer
 //! "when does node N's slot next start/end at or after time t", which is the
-//! primitive both the static scheduler and the simulator are built on.
+//! primitive the simulator and the schedule renderer are built on. (The
+//! list scheduler times its slots once per pass into a table of its own,
+//! with the same arithmetic.)
 
 use mcs_model::{NodeId, SlotId, TdmaConfig, Time, TtpBusParams};
 
