@@ -2,8 +2,8 @@
 //! sequence through [`Evaluator::evaluate_delta`] must reproduce
 //! [`mcs_bench::seed_baseline::seed_evaluate`] bit-for-bit after every move
 //! — the seed path rebuilds everything from nothing per call, so agreement
-//! here transitively anchors the whole delta machinery (snapshots, dirty
-//! cones, schedule diffs) to the original algorithm.
+//! here transitively anchors the whole delta machinery (per-iteration
+//! timing, dirty cones, schedule diffs) to the original algorithm.
 
 use mcs_bench::seed_baseline::seed_evaluate;
 use mcs_core::{AnalysisParams, DeltaSeeds, Evaluator};

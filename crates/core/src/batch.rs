@@ -10,8 +10,9 @@
 //! that split:
 //!
 //! 1. **Shared prefix, once.** The base configuration's converged analysis
-//!    state (the primary evaluator's snapshots, schedule memos and release
-//!    maps) is the prefix every candidate's replay starts from. It is
+//!    state (the primary evaluator's memo slots — each outer iteration's
+//!    schedule and its timing — and release maps) is the prefix every
+//!    candidate's replay starts from. It is
 //!    computed once — by whatever evaluation anchored the primary — and
 //!    distributed to the lanes by an allocation-reusing state copy, never
 //!    re-derived per candidate.
@@ -76,9 +77,9 @@ pub struct BatchRequest {
 }
 
 /// The reusable lane state of [`Evaluator::evaluate_batch`]: one private
-/// evaluator (own scratch, schedule memos and snapshots) per worker
-/// thread, reused — not reallocated — across batches (see the module docs
-/// above).
+/// evaluator (own scratch and memo slots, each with its schedule and
+/// timing) per worker thread, reused — not reallocated — across batches
+/// (see the module docs above).
 ///
 /// A `BatchScratch` is bound to the system and analysis parameters of the
 /// evaluator that uses it; passing it to an evaluator of a different system

@@ -1,6 +1,7 @@
 //! The reusable analysis context: a [`SystemContext`] of system-invariant
-//! tables built once per [`System`], plus a [`Scratch`] of fixed-point state
-//! that is cleared — not reallocated — between runs.
+//! tables built once per [`System`], a [`Scratch`] of configuration tables
+//! and per-pass buffers, and one [`Timing`] of fixed-point state per outer
+//! iteration — all cleared, not reallocated, between runs.
 //!
 //! Synthesis loops (simulated annealing, the OS/OR heuristics) evaluate
 //! `MultiClusterScheduling` hundreds to thousands of times per instance,
@@ -12,10 +13,15 @@
 //!   times `C_m`, per-graph phase groups, per-ET-CPU process partitions,
 //!   gateway-crossing message index lists, per-graph sinks and the analysis
 //!   horizon.
-//! * **`Scratch`** (mutable, reused): the `O/J/w/r` vectors of processes and
-//!   of both message legs, arrival times, FIFO backlogs, flow buffers handed
-//!   to the CAN/CPU/FIFO kernels, the release maps of the outer fixed point
-//!   and the reused [`TtcSchedule`].
+//! * **`Scratch`** (mutable, reused): the priority tables and worklist order
+//!   of the configuration, the dirty cone and worklist of a pass, the flow
+//!   buffers handed to the CAN/CPU/FIFO kernels, the release maps of the
+//!   outer fixed point and the queue bounds of the last run.
+//! * **`Timing`** (mutable, reused, one per outer iteration): the `O/J/w/r`
+//!   vectors of processes and of both message legs, arrival times, FIFO
+//!   backlogs and warm starts, and the divergence flag. Each schedule-memo
+//!   slot ([`SchedCacheEntry`]) owns one, beside the [`TtcSchedule`] it
+//!   analyzes.
 //!
 //! [`Evaluator::evaluate`] returns a cheap [`EvalSummary`] (δΓ, `s_total`);
 //! the full [`AnalysisOutcome`] is materialized on demand by
@@ -27,23 +33,24 @@
 //! A single design transformation perturbs only a small cone of the
 //! holistic fixed point. [`Evaluator::evaluate_delta`] exploits that: the
 //! optimizer reports the seed entities a move touched
-//! ([`DeltaSeeds`](crate::DeltaSeeds)), the seeds are closed over the
+//! ([`DeltaSeeds`]), the seeds are closed over the
 //! static entity-dependency graph of [`crate::delta`] (route successors,
 //! priority-band interference sets on each ET CPU and the CAN bus,
 //! phase-group membership, gateway coupling), and the outer
 //! schedule↔analysis loop *replays the evaluation trajectory*:
 //!
-//! * every outer iteration's schedule memo ([`SchedCacheEntry`]) carries an
-//!   [`AnalysisSnapshot`] of the holistic state it converged to;
-//! * an iteration whose schedule inputs hit the memo extends that snapshot
-//!   through restricted dirty-cone passes ([`Holistic::run_delta`]) — clean
-//!   entities keep their converged values *as the least fixed point*, dirty
-//!   entities restart from the bottom of the lattice;
+//! * every outer iteration's memo slot ([`SchedCacheEntry`]) holds the
+//!   [`Timing`] its schedule converged to, analyzed in place and stamped
+//!   with the evaluation that analyzed it;
+//! * an iteration whose schedule inputs hit the memo extends that timing in
+//!   place through restricted dirty-cone passes ([`Holistic::run_delta`]) —
+//!   clean entities keep their converged values *as the least fixed
+//!   point*, dirty entities restart from the bottom of the lattice;
 //! * an iteration whose release bounds changed is re-scheduled, the new
-//!   schedule is **diffed** against the snapshot's
+//!   schedule is **diffed** against the slot's old one
 //!   ([`TtcSchedule::diff_into`]) and the moved placements join the cone;
 //! * everything else — structural (TDMA) changes, stale/diverged/unstable
-//!   snapshots — falls back to the full fixed point of that iteration.
+//!   slots — falls back to the full fixed point of that iteration.
 //!
 //! Results are **bit-identical** to [`Evaluator::evaluate`] by
 //! construction; the equivalence is enforced by property tests in
@@ -408,26 +415,11 @@ impl SystemContext {
     }
 }
 
-/// Reusable fixed-point state: cleared, never reallocated, between runs.
+/// Reusable per-configuration and per-pass state: cleared, never
+/// reallocated, between runs. The fixed-point vectors themselves live in
+/// the [`Timing`] of each outer iteration's memo slot.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Scratch {
-    // Process state, by process index.
-    pub po: Vec<Time>,
-    pub pj: Vec<Time>,
-    pub pw: Vec<Time>,
-    pub pr: Vec<Time>,
-    // Message state, per leg, by message index.
-    pub can_o: Vec<Time>,
-    pub can_j: Vec<Time>,
-    pub can_w: Vec<Time>,
-    pub can_r: Vec<Time>,
-    pub ttp_o: Vec<Time>,
-    pub ttp_j: Vec<Time>,
-    pub ttp_w: Vec<Time>,
-    pub ttp_r: Vec<Time>,
-    pub arrival: Vec<Time>,
-    pub backlog: Vec<u64>,
-    pub diverged: bool,
     // Config-derived tables, refilled per evaluation.
     pub msg_priority: Vec<Option<mcs_model::Priority>>,
     pub proc_priority: Vec<Option<mcs_model::Priority>>,
@@ -472,9 +464,6 @@ pub(crate) struct Scratch {
     /// Per ET CPU: the rank-ordered task array (transfer process first on
     /// the gateway).
     pub task_arrays: Vec<Vec<TaskFlow>>,
-    /// Warm-start hints for the closed-form FIFO bound (raw delays, before
-    /// the grid-slack pessimism), indexed like `fifo_flows`.
-    pub fifo_warm: Vec<Time>,
     pub bound_flows: Vec<mcs_can::CanFlow>,
     pub bound_delays: Vec<Option<Time>>,
     // Outer fixed point: release lower bounds of the static scheduler,
@@ -493,7 +482,8 @@ pub(crate) struct Scratch {
 impl Scratch {
     /// Allocation-reusing assignment of everything an evaluation reads
     /// before writing it, into `self`'s existing buffers. Batch lanes use
-    /// this to mirror the primary evaluator's converged state before
+    /// this (with [`SchedCacheEntry::sync_from`] for the per-iteration
+    /// timing) to mirror the primary evaluator's converged state before
     /// re-climbing their candidate's divergent tail. The visiting order is
     /// copied with the other priority tables: a lane that skips the table
     /// rebuild (its configuration is the mirrored one) reads it. Per-pass
@@ -503,6 +493,58 @@ impl Scratch {
     /// (`stage_kernel_inputs`, for every resource the pass visits) and the
     /// queue-bound buffers (`priority_queue_bound`).
     pub(crate) fn sync_from(&mut self, src: &Scratch) {
+        self.msg_priority.clone_from(&src.msg_priority);
+        self.proc_priority.clone_from(&src.proc_priority);
+        self.can_order.clone_from(&src.can_order);
+        self.can_pos.clone_from(&src.can_pos);
+        self.can_blocking.clone_from(&src.can_blocking);
+        self.node_order.clone_from(&src.node_order);
+        self.node_pos.clone_from(&src.node_pos);
+        self.wl_order.clone_from(&src.wl_order);
+        self.wl_rank.clone_from(&src.wl_rank);
+        self.proc_release.clone_from(&src.proc_release);
+        self.msg_release.clone_from(&src.msg_release);
+        self.next_proc_release.clone_from(&src.next_proc_release);
+        self.next_msg_release.clone_from(&src.next_msg_release);
+        self.queues.out_can = src.queues.out_can;
+        self.queues.out_ttp = src.queues.out_ttp;
+        self.queues.out_node.clone_from(&src.queues.out_node);
+        self.graph_response.clone_from(&src.graph_response);
+    }
+}
+
+/// The timing state of one holistic analysis: what the worklist engine
+/// derives for one outer iteration's schedule. Each memo slot owns one
+/// ([`SchedCacheEntry`]) and [`Holistic`] analyzes it in place, so the
+/// state the delta path extends is the state the last evaluation left.
+#[derive(Debug, Default)]
+pub(crate) struct Timing {
+    // Process state, by process index.
+    pub po: Vec<Time>,
+    pub pj: Vec<Time>,
+    pub pw: Vec<Time>,
+    pub pr: Vec<Time>,
+    // Message state, per leg, by message index.
+    pub can_o: Vec<Time>,
+    pub can_j: Vec<Time>,
+    pub can_w: Vec<Time>,
+    pub can_r: Vec<Time>,
+    pub ttp_o: Vec<Time>,
+    pub ttp_j: Vec<Time>,
+    pub ttp_w: Vec<Time>,
+    pub ttp_r: Vec<Time>,
+    pub arrival: Vec<Time>,
+    pub backlog: Vec<u64>,
+    /// Warm-start hints for the closed-form FIFO bound (raw delays, before
+    /// the grid-slack pessimism), indexed like `Scratch::fifo_flows`.
+    pub fifo_warm: Vec<Time>,
+    /// Whether any kernel diverged (clamped at the horizon).
+    pub diverged: bool,
+}
+
+impl Timing {
+    /// Allocation-reusing assignment (see [`Scratch::sync_from`]).
+    fn sync_from(&mut self, src: &Timing) {
         self.po.clone_from(&src.po);
         self.pj.clone_from(&src.pj);
         self.pw.clone_from(&src.pw);
@@ -517,25 +559,8 @@ impl Scratch {
         self.ttp_r.clone_from(&src.ttp_r);
         self.arrival.clone_from(&src.arrival);
         self.backlog.clone_from(&src.backlog);
-        self.diverged = src.diverged;
-        self.msg_priority.clone_from(&src.msg_priority);
-        self.proc_priority.clone_from(&src.proc_priority);
-        self.can_order.clone_from(&src.can_order);
-        self.can_pos.clone_from(&src.can_pos);
-        self.can_blocking.clone_from(&src.can_blocking);
-        self.node_order.clone_from(&src.node_order);
-        self.node_pos.clone_from(&src.node_pos);
-        self.wl_order.clone_from(&src.wl_order);
-        self.wl_rank.clone_from(&src.wl_rank);
         self.fifo_warm.clone_from(&src.fifo_warm);
-        self.proc_release.clone_from(&src.proc_release);
-        self.msg_release.clone_from(&src.msg_release);
-        self.next_proc_release.clone_from(&src.next_proc_release);
-        self.next_msg_release.clone_from(&src.next_msg_release);
-        self.queues.out_can = src.queues.out_can;
-        self.queues.out_ttp = src.queues.out_ttp;
-        self.queues.out_node.clone_from(&src.queues.out_node);
-        self.graph_response.clone_from(&src.graph_response);
+        self.diverged = src.diverged;
     }
 }
 
@@ -682,27 +707,25 @@ pub struct Evaluator<'s> {
     /// on it.
     sched_priorities: Vec<Time>,
     sched_round: Option<Time>,
-    /// The last configuration that passed validation (validation is a pure
-    /// function of system + configuration, so an unchanged configuration
-    /// skips it). The buffer is kept across invalidations so snapshots
-    /// reuse its allocations; `last_validated_ok` gates its validity.
+    /// The configuration whose tables the scratch holds: the last one that
+    /// passed validation (validation and the tables are pure functions of
+    /// system + configuration, so an unchanged configuration skips both).
+    /// While [`has_run`](Evaluator::has_run) holds it is also the delta
+    /// base, the configuration of the last completed evaluation: a
+    /// configuration `validate_config` rejects leaves it in place.
     last_validated: Option<SystemConfig>,
-    last_validated_ok: bool,
     scratch: Scratch,
-    /// Whether the last `evaluate` completed successfully (gates `outcome`).
+    /// Whether the last evaluation that reached the analysis completed
+    /// (gates `outcome`, the timing accessors and the delta path). Only a
+    /// failure inside the analysis clears it.
     has_run: bool,
     last_converged: bool,
     last_iterations: u32,
-    /// Cache slot holding the schedule of the last completed evaluation.
+    /// Cache slot holding the schedule and timing of the last evaluation.
     last_sched_slot: usize,
-    /// Monotone id of evaluation attempts, stamped into analysis snapshots.
+    /// Monotone id of evaluation attempts, stamped into the memo slots each
+    /// one analyzes; while `has_run` holds, the delta base's.
     run_counter: u64,
-    /// `run_counter` of the last evaluation that completed successfully —
-    /// only its snapshots are valid delta baselines.
-    last_success_run: u64,
-    /// The configuration of that last successful evaluation (the base the
-    /// optimizer's accumulated seeds are relative to).
-    success_config: Option<SystemConfig>,
     /// Staging buffer for schedule rebuilds on the delta path, so the old
     /// schedule stays diffable until the rebuild lands.
     sched_tmp: TtcSchedule,
@@ -720,10 +743,10 @@ impl<'s> std::fmt::Debug for Evaluator<'s> {
     }
 }
 
-/// One memoized scheduling pass: the inputs it was computed from, the
-/// resulting schedule (reused in place on recompute), and a snapshot of the
-/// holistic analysis state the schedule converged to — the baseline the
-/// delta path extends at this outer iteration.
+/// One outer iteration's memo slot: the scheduling inputs, the resulting
+/// schedule (reused in place on recompute) and the [`Timing`] of its
+/// holistic analysis, analyzed in place — the baseline the delta path
+/// extends at this outer iteration.
 #[derive(Default)]
 struct SchedCacheEntry {
     valid: bool,
@@ -731,7 +754,13 @@ struct SchedCacheEntry {
     proc_release: Vec<Option<Time>>,
     msg_release: Vec<Option<Time>>,
     schedule: TtcSchedule,
-    analysis: AnalysisSnapshot,
+    /// The `run_counter` value of the evaluation that last analyzed this
+    /// slot (0 = never, or invalidated by a schedule rebuild).
+    run: u64,
+    /// Whether that analysis reached stability (vs the wave budget) — only
+    /// a stable state is a least fixed point a delta run may extend.
+    stable: bool,
+    timing: Timing,
 }
 
 impl SchedCacheEntry {
@@ -742,105 +771,15 @@ impl SchedCacheEntry {
         self.proc_release.clone_from(&src.proc_release);
         self.msg_release.clone_from(&src.msg_release);
         self.schedule.clone_from(&src.schedule);
-        self.analysis.sync_from(&src.analysis);
-    }
-}
-
-/// The timing state of one holistic analysis, as left in [`Scratch`] after
-/// analyzing one outer iteration's schedule. `run` ties the snapshot to the
-/// evaluation that produced it: the delta path only extends snapshots
-/// stamped by the immediately preceding successful evaluation (whose
-/// configuration is the seeds' base).
-#[derive(Clone, Debug, Default)]
-struct AnalysisSnapshot {
-    /// The `run_counter` value of the evaluation that stamped this snapshot
-    /// (0 = never stamped / invalidated by a schedule rebuild).
-    run: u64,
-    /// Whether the holistic pass reached stability (vs the iteration cap) —
-    /// only a stable state is a least fixed point a delta run may extend.
-    stable: bool,
-    /// Whether any kernel diverged (clamped at the horizon).
-    diverged: bool,
-    po: Vec<Time>,
-    pj: Vec<Time>,
-    pw: Vec<Time>,
-    pr: Vec<Time>,
-    can_o: Vec<Time>,
-    can_j: Vec<Time>,
-    can_w: Vec<Time>,
-    can_r: Vec<Time>,
-    ttp_o: Vec<Time>,
-    ttp_j: Vec<Time>,
-    ttp_w: Vec<Time>,
-    ttp_r: Vec<Time>,
-    arrival: Vec<Time>,
-    backlog: Vec<u64>,
-    fifo_warm: Vec<Time>,
-}
-
-impl AnalysisSnapshot {
-    /// Allocation-reusing assignment (see [`Scratch::sync_from`]).
-    fn sync_from(&mut self, src: &AnalysisSnapshot) {
         self.run = src.run;
         self.stable = src.stable;
-        self.diverged = src.diverged;
-        self.po.clone_from(&src.po);
-        self.pj.clone_from(&src.pj);
-        self.pw.clone_from(&src.pw);
-        self.pr.clone_from(&src.pr);
-        self.can_o.clone_from(&src.can_o);
-        self.can_j.clone_from(&src.can_j);
-        self.can_w.clone_from(&src.can_w);
-        self.can_r.clone_from(&src.can_r);
-        self.ttp_o.clone_from(&src.ttp_o);
-        self.ttp_j.clone_from(&src.ttp_j);
-        self.ttp_w.clone_from(&src.ttp_w);
-        self.ttp_r.clone_from(&src.ttp_r);
-        self.arrival.clone_from(&src.arrival);
-        self.backlog.clone_from(&src.backlog);
-        self.fifo_warm.clone_from(&src.fifo_warm);
+        self.timing.sync_from(&src.timing);
     }
 
-    /// Stamps the snapshot from the scratch state (allocation-reusing).
-    fn save(&mut self, s: &Scratch, run: u64, stable: bool) {
-        self.run = run;
-        self.stable = stable;
-        self.diverged = s.diverged;
-        self.po.clone_from(&s.po);
-        self.pj.clone_from(&s.pj);
-        self.pw.clone_from(&s.pw);
-        self.pr.clone_from(&s.pr);
-        self.can_o.clone_from(&s.can_o);
-        self.can_j.clone_from(&s.can_j);
-        self.can_w.clone_from(&s.can_w);
-        self.can_r.clone_from(&s.can_r);
-        self.ttp_o.clone_from(&s.ttp_o);
-        self.ttp_j.clone_from(&s.ttp_j);
-        self.ttp_w.clone_from(&s.ttp_w);
-        self.ttp_r.clone_from(&s.ttp_r);
-        self.arrival.clone_from(&s.arrival);
-        self.backlog.clone_from(&s.backlog);
-        self.fifo_warm.clone_from(&s.fifo_warm);
-    }
-
-    /// Restores the scratch timing state from the snapshot.
-    fn load(&self, s: &mut Scratch) {
-        s.diverged = self.diverged;
-        s.po.clone_from(&self.po);
-        s.pj.clone_from(&self.pj);
-        s.pw.clone_from(&self.pw);
-        s.pr.clone_from(&self.pr);
-        s.can_o.clone_from(&self.can_o);
-        s.can_j.clone_from(&self.can_j);
-        s.can_w.clone_from(&self.can_w);
-        s.can_r.clone_from(&self.can_r);
-        s.ttp_o.clone_from(&self.ttp_o);
-        s.ttp_j.clone_from(&self.ttp_j);
-        s.ttp_w.clone_from(&self.ttp_w);
-        s.ttp_r.clone_from(&self.ttp_r);
-        s.arrival.clone_from(&self.arrival);
-        s.backlog.clone_from(&self.backlog);
-        s.fifo_warm.clone_from(&self.fifo_warm);
+    /// Whether the delta path may extend this slot: evaluation `base_run`
+    /// analyzed it to a stable, converged state.
+    fn extends(&self, base_run: u64) -> bool {
+        self.valid && self.run == base_run && self.stable && !self.timing.diverged
     }
 }
 
@@ -856,15 +795,12 @@ impl<'s> Evaluator<'s> {
             sched_priorities: Vec::new(),
             sched_round: None,
             last_validated: None,
-            last_validated_ok: false,
             scratch: Scratch::default(),
             has_run: false,
             last_converged: false,
             last_iterations: 0,
             last_sched_slot: 0,
             run_counter: 0,
-            last_success_run: 0,
-            success_config: None,
             sched_tmp: TtcSchedule::new(),
             diff_procs: Vec::new(),
             diff_msgs: Vec::new(),
@@ -884,8 +820,11 @@ impl<'s> Evaluator<'s> {
 
     /// `true` once an evaluation has completed successfully — the timing
     /// accessors and [`outcome`](Evaluator::outcome) are only meaningful
-    /// (and only non-panicking) while this holds. A failed
-    /// [`evaluate`](Evaluator::evaluate) resets it.
+    /// (and only non-panicking) while this holds. Only a failure inside the
+    /// analysis (the TTC traffic cannot be scheduled) resets it: a
+    /// configuration [`validate_config`] rejects never reaches the
+    /// analysis, so after such an `Err` this still holds, and the accessors
+    /// and the delta base are those of the previous evaluation.
     pub fn has_run(&self) -> bool {
         self.has_run
     }
@@ -903,25 +842,28 @@ impl<'s> Evaluator<'s> {
         self.evaluate_inner(config, None)
     }
 
-    /// The shared outer schedule↔analysis loop. With `delta_seeds`, every
-    /// outer iteration tries to extend the analysis snapshot of the previous
-    /// successful evaluation through the restricted dirty-cone passes
-    /// instead of re-running the full holistic fixed point: a schedule memo
-    /// hit extends the snapshot directly, a rebuild diffs the new schedule
-    /// against the snapshot's and feeds the moved placements into the cone.
-    /// Iterations whose snapshot is unusable (stale, diverged, unstable) or
-    /// whose restricted passes exhaust their budget take the full path of
-    /// that iteration — so the trajectory, and with it every result, is
-    /// bit-identical either way.
+    /// The shared outer schedule↔analysis loop. Every outer iteration
+    /// analyzes the [`Timing`] of its memo slot in place. With
+    /// `delta_seeds`, an iteration whose slot the previous evaluation (the
+    /// delta base) analyzed extends that timing through the restricted
+    /// dirty-cone passes instead of re-running the full holistic fixed
+    /// point: a schedule memo hit extends it directly, a rebuild diffs the
+    /// new schedule against the slot's old one and feeds the moved
+    /// placements into the cone. Iterations whose slot is unusable (stale,
+    /// diverged, unstable) or whose restricted passes exhaust their budget
+    /// take the full path of that iteration — so the trajectory, and with
+    /// it every result, is bit-identical either way.
     fn evaluate_inner(
         &mut self,
         config: &SystemConfig,
         delta_seeds: Option<&DeltaSeeds>,
     ) -> Result<EvalSummary, AnalysisError> {
+        // Seeds come only while the previous evaluation completed
+        // (`delta_applicable`), so its run number marks the base's slots.
+        let base_run = self.run_counter;
         self.has_run = false;
         self.run_counter += 1;
         let run = self.run_counter;
-        let base_run = self.last_success_run;
         let system = self.system;
         let (ttp_queue, grid_slack) = self.ttp_queue(config);
         if self.sched_round != Some(ttp_queue.round) {
@@ -939,7 +881,6 @@ impl<'s> Evaluator<'s> {
         let mut iterations = 0;
         let mut settled = false;
         let mut holistic_stable = false;
-        let mut analyzed: Option<usize> = None;
         while iterations < self.params.max_outer_iterations {
             let slot = iterations as usize;
             iterations += 1;
@@ -958,17 +899,11 @@ impl<'s> Evaluator<'s> {
             if hit {
                 self.profile.schedule_hits += 1;
             } else {
-                // Can the rebuilt schedule still extend this slot's
-                // snapshot? Only if the snapshot is a stable, converged
-                // state of the delta base — then the rebuild is staged and
-                // diffed, and the moved placements join the dirty cone.
-                let diffable = delta_seeds.is_some() && {
-                    let entry = &self.sched_cache[slot];
-                    entry.valid
-                        && entry.analysis.run == base_run
-                        && entry.analysis.stable
-                        && !entry.analysis.diverged
-                };
+                // Can the rebuilt schedule still extend this slot's timing?
+                // Only if the delta base left it stable and converged —
+                // then the rebuild is staged and diffed, and the moved
+                // placements join the dirty cone.
+                let diffable = delta_seeds.is_some() && self.sched_cache[slot].extends(base_run);
                 let entry = &mut self.sched_cache[slot];
                 entry.valid = false;
                 let input = DenseSchedulerInput {
@@ -986,11 +921,11 @@ impl<'s> Evaluator<'s> {
                         &mut self.diff_msgs,
                     );
                     std::mem::swap(&mut entry.schedule, &mut self.sched_tmp);
-                    // The snapshot stays stamped: the diff seeds cover
+                    // The slot stays stamped: the diff seeds cover
                     // everything the rebuild moved.
                 } else {
                     self.profile.schedule_rebuilds += 1;
-                    entry.analysis.run = 0;
+                    entry.run = 0;
                     list_schedule_dense_into(&input, &self.sched_priorities, &mut entry.schedule)?;
                 }
                 entry.tdma.clone_from(&config.tdma);
@@ -998,22 +933,19 @@ impl<'s> Evaluator<'s> {
                 entry.msg_release.clone_from(&self.scratch.msg_release);
                 entry.valid = true;
             }
+            self.last_sched_slot = slot;
             // The holistic analysis is a pure function of (schedule,
             // configuration): when changed releases produced a schedule
             // identical to the one analyzed in the previous outer iteration
-            // of this call, the scratch already holds its fixed point.
-            let same_schedule = analyzed
-                .map(|prev| self.sched_cache[prev].schedule == self.sched_cache[slot].schedule)
-                .unwrap_or(false);
-            self.last_sched_slot = slot;
-            if !same_schedule {
-                // Delta baseline: a snapshot stamped by the immediately
-                // preceding successful evaluation, converged and stable —
-                // exactly the state the dirty cone is a diff against.
-                let baseline = delta_seeds.filter(|_| {
-                    let snap = &self.sched_cache[slot].analysis;
-                    snap.run == base_run && snap.stable && !snap.diverged
-                });
+            // of this call, this slot inherits that iteration's timing.
+            if slot > 0 && self.sched_cache[slot - 1].schedule == self.sched_cache[slot].schedule {
+                let (done, rest) = self.sched_cache.split_at_mut(slot);
+                rest[0].timing.sync_from(&done[slot - 1].timing);
+            } else {
+                // Delta baseline: the slot as the delta base left it,
+                // converged and stable — exactly the state the dirty cone
+                // is a diff against.
+                let baseline = delta_seeds.filter(|_| self.sched_cache[slot].extends(base_run));
                 let mut ran_delta = false;
                 if let Some(seeds) = baseline {
                     close_dirty(
@@ -1023,8 +955,7 @@ impl<'s> Evaluator<'s> {
                         &self.diff_procs,
                         &self.diff_msgs,
                     );
-                    self.sched_cache[slot].analysis.load(&mut self.scratch);
-                    // An exhausted pass budget leaves the scratch mid-climb:
+                    // An exhausted pass budget leaves the slot mid-climb:
                     // the full pass below resets and re-derives it exactly.
                     let solve = self.holistic(ttp_queue, grid_slack).run_delta();
                     self.profile.count(solve);
@@ -1040,13 +971,12 @@ impl<'s> Evaluator<'s> {
                     holistic_stable = solve.quiescent;
                 }
             }
-            analyzed = Some(slot);
-            // Every evaluation stamps its baseline, so the first delta call
-            // after any evaluation (say, a search's full start evaluation)
-            // can extend it.
-            self.sched_cache[slot]
-                .analysis
-                .save(&self.scratch, run, holistic_stable);
+            // Every evaluation stamps the slots it analyzed, so the first
+            // delta call after any evaluation (say, a search's full start
+            // evaluation) can extend them.
+            let entry = &mut self.sched_cache[slot];
+            entry.run = run;
+            entry.stable = holistic_stable;
             // Re-derive the release lower bounds from the analysis.
             self.derive_releases(config);
             let s = &mut self.scratch;
@@ -1061,13 +991,7 @@ impl<'s> Evaluator<'s> {
 
         // Queue bounds are needed only for the final analysis state.
         self.holistic(ttp_queue, grid_slack).queue_bounds();
-        let summary = self.summarize(settled, iterations);
-        self.last_success_run = run;
-        match &mut self.success_config {
-            Some(previous) => previous.clone_from(config),
-            slot => *slot = Some(config.clone()),
-        }
-        Ok(summary)
+        Ok(self.summarize(settled, iterations))
     }
 
     /// Incrementally re-evaluates a configuration that differs from the
@@ -1082,21 +1006,22 @@ impl<'s> Evaluator<'s> {
     /// `seeds` must over-approximate the difference between `config` and the
     /// configuration of this evaluator's last *successful* evaluation
     /// (search loops accumulate seeds across rejected/reverted moves and
-    /// clear them after every successful call). The seeds are closed over
+    /// clear them after every successful call; a configuration rejected as
+    /// invalid leaves that base in place). The seeds are closed over
     /// the static dependency graph (the crate-internal `delta` module) and
     /// the outer schedule↔analysis loop replays the evaluation trajectory:
     ///
     /// * an outer iteration whose schedule inputs (TDMA round + release
-    ///   bounds) hit the memo **and** whose analysis snapshot was stamped by
-    ///   the immediately preceding successful evaluation extends that
-    ///   snapshot — clean entities keep their converged fixed-point values,
-    ///   dirty entities restart from the bottom of the lattice and re-climb
-    ///   against them, reaching the same least fixed point in a fraction of
-    ///   the kernel work;
+    ///   bounds) hit the memo **and** whose timing the immediately preceding
+    ///   successful evaluation left extends that timing in place — clean
+    ///   entities keep their converged fixed-point values, dirty entities
+    ///   restart from the bottom of the lattice and re-climb against them,
+    ///   reaching the same least fixed point in a fraction of the kernel
+    ///   work;
     /// * an iteration whose release bounds changed (the cone touched a FIFO
     ///   arrival or an ET-sent frame's release) is re-scheduled, and the
     ///   placements the new schedule moved join the cone;
-    /// * an iteration whose snapshot is missing, diverged or unstable, or
+    /// * an iteration whose timing is missing, diverged or unstable, or
     ///   whose restricted passes exhaust their budget, is re-analyzed in
     ///   full — from that point the replay *is* the full evaluation.
     ///
@@ -1139,7 +1064,7 @@ impl<'s> Evaluator<'s> {
 
     /// Mirrors every piece of mutable evaluation state from `src`, reusing
     /// `self`'s allocations. Afterwards `self` behaves exactly like `src`:
-    /// the next evaluation extends the same snapshots and returns the same
+    /// the next evaluation extends the same timing and returns the same
     /// bits the call would return on `src`. (The scheduling staging buffers
     /// `sched_tmp`/`diff_procs`/`diff_msgs` are skipped — they are
     /// overwritten before every read.)
@@ -1158,18 +1083,12 @@ impl<'s> Evaluator<'s> {
             (Some(dst), Some(src_cfg)) => dst.clone_from(src_cfg),
             (dst, src_cfg) => *dst = src_cfg.clone(),
         }
-        self.last_validated_ok = src.last_validated_ok;
         self.scratch.sync_from(&src.scratch);
         self.has_run = src.has_run;
         self.last_converged = src.last_converged;
         self.last_iterations = src.last_iterations;
         self.last_sched_slot = src.last_sched_slot;
         self.run_counter = src.run_counter;
-        self.last_success_run = src.last_success_run;
-        match (&mut self.success_config, &src.success_config) {
-            (Some(dst), Some(src_cfg)) => dst.clone_from(src_cfg),
-            (dst, src_cfg) => *dst = src_cfg.clone(),
-        }
         self.profile = src.profile;
     }
 
@@ -1268,77 +1187,73 @@ impl<'s> Evaluator<'s> {
             .collect()
     }
 
-    /// Whether the delta preconditions hold for `config`: non-structural
-    /// seeds, an unchanged TDMA round, and a priority assignment that is a
-    /// per-resource *permutation* of the last successful evaluation's (the
-    /// seeds' base). The permutation requirement is what licenses the
-    /// priority-band closure of [`crate::delta`]: a priority moved to a
-    /// fresh level would change hp sets *above* its new position, outside
-    /// the marked bands.
+    /// Whether the delta preconditions hold for `config`: a completed last
+    /// evaluation (the seeds' base, `last_validated`), non-structural seeds,
+    /// an unchanged TDMA round, and a priority assignment that is a
+    /// per-resource *permutation* of the base's. The permutation
+    /// requirement is what licenses the priority-band closure of
+    /// [`crate::delta`]: a priority moved to a fresh level would change hp
+    /// sets *above* its new position, outside the marked bands.
     fn delta_applicable(&self, config: &SystemConfig, seeds: &DeltaSeeds) -> bool {
-        if seeds.is_structural() {
-            return false;
-        }
-        match &self.success_config {
-            Some(prev) => {
-                prev.tdma == config.tdma && self.priority_change_is_permutation(prev, config)
+        match &self.last_validated {
+            Some(base) if self.has_run && !seeds.is_structural() => {
+                base.tdma == config.tdma && self.priority_change_is_permutation(base, config)
             }
-            None => false,
+            _ => false,
         }
     }
 
     /// Validates ψ and (re)builds the configuration-derived tables when the
-    /// configuration changed since the last successful validation.
+    /// configuration differs from `last_validated`, whose tables the
+    /// scratch holds.
     ///
     /// Validation and every configuration-derived table are pure functions
-    /// of (system, configuration): an unchanged configuration skips both.
+    /// of (system, configuration): an unchanged configuration skips both,
+    /// and a rejected one leaves the tables and `last_validated` untouched.
     fn prepare_config(&mut self, config: &SystemConfig) -> Result<(), AnalysisError> {
-        let config_changed =
-            !self.last_validated_ok || self.last_validated.as_ref() != Some(config);
-        if !config_changed {
+        let prev = self.last_validated.as_ref();
+        if prev == Some(config) {
             return Ok(());
         }
         // Pins-only change: validation never reads the offset pins, and
         // every configuration-derived table depends on β and π only — an
         // unchanged TDMA round + priority assignment keeps both.
-        if self.last_validated_ok {
-            if let Some(prev) = &self.last_validated {
-                if prev.tdma == config.tdma && prev.priorities == config.priorities {
-                    match &mut self.last_validated {
-                        Some(previous) => previous.clone_from(config),
-                        slot => *slot = Some(config.clone()),
-                    }
-                    return Ok(());
-                }
+        let pins_only = prev
+            .is_some_and(|prev| prev.tdma == config.tdma && prev.priorities == config.priorities);
+        if !pins_only {
+            // A priority change that merely *permutes* the previous
+            // (validated) assignment within each resource preserves
+            // validity outright: completeness (every changed ET process /
+            // CAN message keeps a priority) and per-resource uniqueness
+            // (the value multiset per CPU/bus is unchanged) are checked
+            // exactly, so re-validation would be a no-op. Anything else
+            // re-validates in full.
+            let permutation = prev.is_some_and(|prev| {
+                prev.tdma == config.tdma && self.priority_change_is_permutation(prev, config)
+            });
+            if !permutation {
+                validate_config(self.system, config)?;
             }
+            self.build_config_tables(config);
         }
-        // A priority change that merely *permutes* the previous (validated)
-        // assignment within each resource preserves validity outright:
-        // completeness (every changed ET process / CAN message keeps a
-        // priority) and per-resource uniqueness (the value multiset per
-        // CPU/bus is unchanged) are checked exactly, so re-validation would
-        // be a no-op. Anything else re-validates in full.
-        let skip_validation = self.last_validated_ok
-            && self
-                .last_validated
-                .as_ref()
-                .map(|prev| {
-                    prev.tdma == config.tdma && self.priority_change_is_permutation(prev, config)
-                })
-                .unwrap_or(false);
-        self.last_validated_ok = false;
-        if !skip_validation {
-            validate_config(self.system, config)?;
+        // `clone_from` reuses the previous configuration's allocations, so
+        // a changed configuration costs no fresh allocation here.
+        match &mut self.last_validated {
+            Some(previous) => previous.clone_from(config),
+            slot => *slot = Some(config.clone()),
         }
-        let app = &self.system.application;
+        Ok(())
+    }
 
-        // Configuration-derived tables: the priority lookups flattened
-        // to dense vectors, the priority-sorted evaluation orders
-        // (priorities are unique per resource, so the orders are total),
-        // their inverse position tables (the delta closure reads priority
-        // bands from them), the CAN suffix-max blocking bounds — these
-        // turn every kernel's higher-priority filtering into prefix scans —
-        // and the worklist's visiting order under these priorities.
+    /// Rebuilds the configuration-derived tables of a validated ψ: the
+    /// priority lookups flattened to dense vectors, the priority-sorted
+    /// evaluation orders (priorities are unique per resource, so the orders
+    /// are total), their inverse position tables (the delta closure reads
+    /// priority bands from them), the CAN suffix-max blocking bounds — these
+    /// turn every kernel's higher-priority filtering into prefix scans — and
+    /// the worklist's visiting order under these priorities.
+    fn build_config_tables(&mut self, config: &SystemConfig) {
+        let app = &self.system.application;
         let s = &mut self.scratch;
         s.msg_priority.clear();
         s.msg_priority.extend(
@@ -1355,7 +1270,7 @@ impl<'s> Evaluator<'s> {
         s.can_order.clear();
         s.can_order.extend(self.ctx.can_ids.iter().copied());
         s.can_order.sort_by_key(|&mi| {
-            // mcs-lint: allow(panic-policy) -- validate_config at the top of this refresh guarantees CAN priorities
+            // mcs-lint: allow(panic-policy) -- prepare_config builds tables only for configurations validate_config accepts, which assign CAN priorities
             s.msg_priority[mi].expect("validated configuration assigns CAN priorities")
         });
         s.can_pos.clear();
@@ -1378,7 +1293,7 @@ impl<'s> Evaluator<'s> {
             order.clear();
             order.extend(et.procs.iter().copied());
             order.sort_by_key(|p| {
-                // mcs-lint: allow(panic-policy) -- validate_config at the top of this refresh guarantees ET priorities
+                // mcs-lint: allow(panic-policy) -- prepare_config builds tables only for configurations validate_config accepts, which assign ET priorities
                 s.proc_priority[p.index()].expect("validated configuration assigns ET priorities")
             });
             for (idx, p) in order.iter().enumerate() {
@@ -1387,14 +1302,6 @@ impl<'s> Evaluator<'s> {
         }
         // The worklist visits in the dependency order of these bands.
         order_worklist(&self.ctx, s);
-        // `clone_from` reuses the previous snapshot's allocations, so
-        // a changed configuration costs no fresh allocation here.
-        match &mut self.last_validated {
-            Some(previous) => previous.clone_from(config),
-            slot => *slot = Some(config.clone()),
-        }
-        self.last_validated_ok = true;
-        Ok(())
     }
 
     /// Exact validity-preservation check: the new priority assignment is a
@@ -1469,6 +1376,7 @@ impl<'s> Evaluator<'s> {
     /// current analysis state, into the `next_*` tables.
     fn derive_releases(&mut self, config: &SystemConfig) {
         let ctx = &self.ctx;
+        let t = &self.sched_cache[self.last_sched_slot].timing;
         let s = &mut self.scratch;
         seed_pins(
             self.system,
@@ -1479,7 +1387,7 @@ impl<'s> Evaluator<'s> {
         for &mi in &ctx.fifo_ids {
             // Destination TT process must not start before the worst-case
             // arrival through Out_TTP.
-            let bound = s.arrival[mi].min(ctx.horizon);
+            let bound = t.arrival[mi].min(ctx.horizon);
             let entry = &mut s.next_proc_release[ctx.msg_dest[mi] as usize];
             *entry = Some(entry.unwrap_or(Time::ZERO).max(bound));
         }
@@ -1487,34 +1395,42 @@ impl<'s> Evaluator<'s> {
             // TTP frames whose sender runs under priorities (gateway CPU): the
             // frame cannot leave before the sender's worst-case completion.
             let sender = ctx.msg_src[mi] as usize;
-            let done = s.po[sender].saturating_add(s.pr[sender]).min(ctx.horizon);
+            let done = t.po[sender].saturating_add(t.pr[sender]).min(ctx.horizon);
             let entry = &mut s.next_msg_release[mi];
             *entry = Some(entry.unwrap_or(Time::ZERO).max(done));
         }
     }
 
     /// One holistic pass over the schedule of the current outer iteration
-    /// (`last_sched_slot`).
+    /// (`last_sched_slot`), analyzing that slot's timing in place.
     fn holistic(&mut self, ttp_queue: TtpQueueParams, grid_slack: Time) -> Holistic<'_> {
+        let entry = &mut self.sched_cache[self.last_sched_slot];
         Holistic {
             ctx: &self.ctx,
             system: self.system,
-            schedule: &self.sched_cache[self.last_sched_slot].schedule,
+            schedule: &entry.schedule,
             ttp_queue,
             grid_slack,
             horizon: self.ctx.horizon,
             max_iterations: self.params.max_holistic_iterations,
             fifo_bound: self.params.fifo_bound,
             s: &mut self.scratch,
+            t: &mut entry.timing,
         }
     }
 
     /// Graph responses and the degree of schedulability, straight from the
-    /// scratch vectors (no result maps on this path), plus the run metadata.
+    /// final slot's timing (no result maps on this path), plus the run
+    /// metadata. The run converged if the outer iteration settled and the
+    /// final slot's holistic pass reached a stable state without diverging:
+    /// a pass stopped by the wave budget sits below the least fixed point,
+    /// so its bounds are optimistic.
     fn summarize(&mut self, settled: bool, iterations: u32) -> EvalSummary {
         let system = self.system;
         let app = &system.application;
         let ctx = &self.ctx;
+        let entry = &self.sched_cache[self.last_sched_slot];
+        let t = &entry.timing;
         let s = &mut self.scratch;
         s.graph_response.clear();
         let mut overrun: u64 = 0;
@@ -1522,7 +1438,7 @@ impl<'s> Evaluator<'s> {
         for (gi, graph) in app.graphs().iter().enumerate() {
             let r = ctx.sinks[gi]
                 .iter()
-                .map(|p| s.po[p.index()].saturating_add(s.pr[p.index()]))
+                .map(|p| t.po[p.index()].saturating_add(t.pr[p.index()]))
                 .fold(Time::ZERO, Time::max);
             s.graph_response.push(r);
             let d = graph.deadline();
@@ -1530,11 +1446,11 @@ impl<'s> Evaluator<'s> {
             slack += i128::from(r.ticks()) - i128::from(d.ticks());
         }
         for &(pi, d) in &ctx.local_deadlines {
-            let completion = s.po[pi].saturating_add(s.pr[pi]);
+            let completion = t.po[pi].saturating_add(t.pr[pi]);
             overrun += completion.saturating_sub(d).ticks();
         }
 
-        let converged = !s.diverged && settled;
+        let converged = settled && entry.stable && !t.diverged;
         self.has_run = true;
         self.last_converged = converged;
         self.last_iterations = iterations;
@@ -1599,12 +1515,12 @@ impl<'s> Evaluator<'s> {
     pub fn process_timing(&self, process: ProcessId) -> EntityTiming {
         assert!(self.has_run, "no successful evaluation yet");
         let i = process.index();
-        let s = &self.scratch;
+        let t = &self.sched_cache[self.last_sched_slot].timing;
         EntityTiming {
-            offset: s.po[i],
-            jitter: s.pj[i],
-            delay: s.pw[i],
-            response: s.pr[i],
+            offset: t.po[i],
+            jitter: t.pj[i],
+            delay: t.pw[i],
+            response: t.pr[i],
         }
     }
 
@@ -1616,23 +1532,23 @@ impl<'s> Evaluator<'s> {
     pub fn message_timing(&self, message: MessageId) -> MessageTiming {
         assert!(self.has_run, "no successful evaluation yet");
         let mi = message.index();
-        let s = &self.scratch;
+        let t = &self.sched_cache[self.last_sched_slot].timing;
         let can = self.ctx.route[mi].uses_can().then_some(EntityTiming {
-            offset: s.can_o[mi],
-            jitter: s.can_j[mi],
-            delay: s.can_w[mi],
-            response: s.can_r[mi],
+            offset: t.can_o[mi],
+            jitter: t.can_j[mi],
+            delay: t.can_w[mi],
+            response: t.can_r[mi],
         });
         let ttp = matches!(self.ctx.route[mi], MessageRoute::EtcToTtc).then_some(EntityTiming {
-            offset: s.ttp_o[mi],
-            jitter: s.ttp_j[mi],
-            delay: s.ttp_w[mi],
-            response: s.ttp_r[mi],
+            offset: t.ttp_o[mi],
+            jitter: t.ttp_j[mi],
+            delay: t.ttp_w[mi],
+            response: t.ttp_r[mi],
         });
         MessageTiming {
             can,
             ttp,
-            arrival: s.arrival[mi],
+            arrival: t.arrival[mi],
         }
     }
 }

@@ -48,14 +48,16 @@
 //! seeding walk before any kernel runs, and the occurrence FIFO bound is
 //! stateless. Only the wave budget (`max_holistic_iterations`) depends on
 //! the order: a pass that exhausts it stops below the fixed point, at a
-//! state the order decides (no measured pass has). A unit test pins the
-//! results of the dependency order to those of the static key order and of
-//! random permutations.
+//! state the order decides, and an evaluation whose final pass stopped so
+//! reports that it did not converge (no measured pass has exhausted the
+//! default budget of 64 waves). A unit test pins the results of the
+//! dependency order to those of the static key order and of random
+//! permutations.
 //!
 //! [`Holistic::run`] seeds the worklist with **every** entity from the
 //! bottom of the lattice; [`Holistic::run_delta`] seeds it with the closed
 //! dirty cone of [`crate::delta`], resetting only the cone to the bottom
-//! while clean entities keep their loaded baseline values. The two public
+//! while clean entities keep their baseline values. The two public
 //! evaluation paths are literally two seedings of the same loop.
 //!
 //! # Why the engine reaches the same least fixed point as chaotic iteration
@@ -94,14 +96,15 @@
 //! standard restriction argument; see [`crate::delta`]).
 //!
 //! The engine operates entirely on the reusable state of [`crate::context`]:
-//! the immutable `SystemContext` tables and the `Scratch` vectors, which it
-//! clears (never reallocates) on entry.
+//! the immutable `SystemContext` tables, the `Scratch` of the configuration
+//! and the pass, and the `Timing` of one outer iteration's memo slot, which
+//! it analyzes in place (a full pass clears it, never reallocating).
 
 use mcs_can::CanFlow;
 use mcs_model::{GraphId, MessageId, MessageRoute, Priority, ProcessId, System, Time};
 use mcs_ttp::TtcSchedule;
 
-use crate::context::{Scratch, SystemContext, WlEntity};
+use crate::context::{Scratch, SystemContext, Timing, WlEntity};
 use crate::multicluster::FifoBound;
 use crate::queues::{fifo_delay_from, fifo_delay_occurrence, FifoFlow, TtpQueueParams};
 use crate::rta::TaskFlow;
@@ -129,7 +132,8 @@ pub(crate) struct Solve {
 }
 
 /// One holistic analysis pass over a fixed TTC schedule, reading the shared
-/// [`SystemContext`] and mutating only the [`Scratch`].
+/// [`SystemContext`] and mutating only the [`Scratch`] and the [`Timing`]
+/// it analyzes.
 pub(crate) struct Holistic<'a> {
     pub ctx: &'a SystemContext,
     pub system: &'a System,
@@ -143,11 +147,13 @@ pub(crate) struct Holistic<'a> {
     pub max_iterations: u32,
     pub fifo_bound: FifoBound,
     pub s: &'a mut Scratch,
+    /// The timing state of the schedule's memo slot, analyzed in place.
+    pub t: &'a mut Timing,
 }
 
 impl Holistic<'_> {
     /// Runs the fixed point to convergence (or the recomputation budget),
-    /// leaving the converged timing state in the scratch; queue bounds are
+    /// leaving the converged state in the timing; queue bounds are
     /// computed separately by [`queue_bounds`](Holistic::queue_bounds) (the
     /// evaluator needs them only for the final outer iteration). Returns
     /// whether the engine reached quiescence (as opposed to exhausting the
@@ -165,17 +171,17 @@ impl Holistic<'_> {
     }
 
     /// Restricted fixed point over the dirty cone of `Scratch::dirty`
-    /// (see [`crate::delta`]): the scratch holds the converged analysis of
-    /// this outer iteration under the delta base configuration (loaded from
-    /// the iteration's snapshot; placements a schedule rebuild moved are in
-    /// the cone). Clean entities keep those values; every dirty entity
+    /// (see [`crate::delta`]): the timing holds the converged analysis of
+    /// this outer iteration under the delta base configuration (the slot as
+    /// the base evaluation left it; placements a schedule rebuild moved are
+    /// in the cone). Clean entities keep those values; every dirty entity
     /// restarts from the bottom of the lattice and re-climbs against the
     /// fixed clean inputs — reaching the same least fixed point a full
     /// re-analysis would, in a fraction of the kernel work. This is the
     /// **delta** seeding of the same worklist engine [`run`] drives.
     /// Returns whether quiescence was reached within the budget, and the
     /// work it took; without quiescence the caller must fall back to the
-    /// full analysis (the scratch is mid-climb).
+    /// full analysis (the timing is mid-climb).
     ///
     /// [`run`]: Holistic::run
     pub(crate) fn run_delta(&mut self) -> Solve {
@@ -186,36 +192,36 @@ impl Holistic<'_> {
             // seeding pass below: they come from the schedule and BCETs
             // only, but a schedule rebuild may have moved the placements
             // under a dirty entity.
-            let s = &mut *self.s;
-            for pi in 0..s.dirty.procs.len() {
-                if s.dirty.procs[pi] {
-                    s.pj[pi] = Time::ZERO;
-                    s.pw[pi] = Time::ZERO;
-                    s.pr[pi] = ctx.proc_wcet[pi];
+            let (dirty, t) = (&self.s.dirty, &mut *self.t);
+            for pi in 0..dirty.procs.len() {
+                if dirty.procs[pi] {
+                    t.pj[pi] = Time::ZERO;
+                    t.pw[pi] = Time::ZERO;
+                    t.pr[pi] = ctx.proc_wcet[pi];
                 }
             }
-            for mi in 0..s.dirty.can.len() {
-                if s.dirty.can[mi] {
+            for mi in 0..dirty.can.len() {
+                if dirty.can[mi] {
                     // `can_j` is left in place: the seeding pass recomputes
                     // it from the (reset) sender state before any kernel
                     // reads it, and for TTC→ETC legs it is the constant
                     // transfer-process response.
-                    s.can_w[mi] = Time::ZERO;
-                    s.can_r[mi] = Time::ZERO;
+                    t.can_w[mi] = Time::ZERO;
+                    t.can_r[mi] = Time::ZERO;
                 }
             }
             for &mi in &ctx.fifo_ids {
-                if s.dirty.ttp[mi] {
+                if dirty.ttp[mi] {
                     // The FIFO leg restarts from the bottom as well.
-                    s.ttp_w[mi] = Time::ZERO;
-                    s.ttp_r[mi] = Time::ZERO;
-                    s.backlog[mi] = 0;
-                    s.fifo_warm[ctx.fifo_pos[mi]] = Time::ZERO;
+                    t.ttp_w[mi] = Time::ZERO;
+                    t.ttp_r[mi] = Time::ZERO;
+                    t.backlog[mi] = 0;
+                    t.fifo_warm[ctx.fifo_pos[mi]] = Time::ZERO;
                 }
             }
         }
         self.seed_offsets_and_jitters();
-        // (Re)stage the kernel input arrays from the current scratch state:
+        // (Re)stage the kernel input arrays from the current timing state:
         // clean entries carry their baseline (= new least fixed point)
         // values, dirty entries their freshly walked bottom-side values —
         // everything at or below the new least fixed point, which is what
@@ -331,33 +337,33 @@ impl Holistic<'_> {
         // Availability of the triggering data: earliest (offset) and worst
         // case (jitter) over the predecessors. Recomputing the offset is
         // idempotent — it reads only fixed quantities.
-        let (earliest, worst) = availability(ctx, self.s, app, schedule, p);
-        let s = &mut *self.s;
-        s.po[pi] = earliest;
-        s.pj[pi] = worst.saturating_sub(earliest);
+        let (earliest, worst) = availability(ctx, self.t, app, schedule, p);
+        let (s, t) = (&mut *self.s, &mut *self.t);
+        t.po[pi] = earliest;
+        t.pj[pi] = worst.saturating_sub(earliest);
 
         // Busy window against the rank prefix; own jitter/offset must be
         // staged before the kernel reads `tasks[idx]` as "me".
         let old = s.task_arrays[ni][idx];
-        s.task_arrays[ni][idx].jitter = s.pj[pi];
-        s.task_arrays[ni][idx].offset = s.po[pi];
+        s.task_arrays[ni][idx].jitter = t.pj[pi];
+        s.task_arrays[ni][idx].offset = t.po[pi];
         let delay = crate::rta::interference_delay_sorted(
             &s.task_arrays[ni],
             idx,
             self.horizon,
-            s.pw[pi],
+            t.pw[pi],
             passes,
         );
         let w = match delay {
             Some(w) => w,
             None => {
-                s.diverged = true;
+                t.diverged = true;
                 self.horizon
             }
         };
-        s.pw[pi] = w;
-        s.pr[pi] = s.pj[pi].saturating_add(w).saturating_add(ctx.proc_wcet[pi]);
-        let new = build_task_flow(ctx, s, pi);
+        t.pw[pi] = w;
+        t.pr[pi] = t.pj[pi].saturating_add(w).saturating_add(ctx.proc_wcet[pi]);
+        let new = build_task_flow(ctx, s, t, pi);
         s.task_arrays[ni][idx] = new;
         if new == old {
             return;
@@ -414,37 +420,37 @@ impl Holistic<'_> {
         let k = self.s.can_pos[mi];
         stage_leg(
             ctx,
-            self.s,
+            self.t,
             self.schedule,
             r_transfer,
             ctx.msg_src[mi] as usize,
             mi,
         );
-        let s = &mut *self.s;
+        let (s, t) = (&mut *self.s, &mut *self.t);
         let old = s.can_flows[k];
-        s.can_flows[k].jitter = s.can_j[mi];
-        s.can_flows[k].offset = s.can_o[mi];
+        s.can_flows[k].jitter = t.can_j[mi];
+        s.can_flows[k].offset = t.can_o[mi];
         let delay = mcs_can::queuing_delay_sorted(
             &s.can_flows,
             k,
             s.can_blocking[k],
             self.horizon,
-            s.can_w[mi],
+            t.can_w[mi],
             passes,
         );
         let w = match delay {
             Some(w) => w,
             None => {
-                s.diverged = true;
+                t.diverged = true;
                 self.horizon
             }
         };
-        s.can_w[mi] = w;
-        s.can_r[mi] = s.can_j[mi].saturating_add(w).saturating_add(ctx.can_c[mi]);
+        t.can_w[mi] = w;
+        t.can_r[mi] = t.can_j[mi].saturating_add(w).saturating_add(ctx.can_c[mi]);
         if !matches!(ctx.route[mi], MessageRoute::EtcToTtc) {
-            s.arrival[mi] = s.can_o[mi].saturating_add(s.can_r[mi]);
+            t.arrival[mi] = t.can_o[mi].saturating_add(t.can_r[mi]);
         }
-        let new = build_can_flow(ctx, s, mi);
+        let new = build_can_flow(ctx, s, t, mi);
         s.can_flows[k] = new;
         if new == old {
             return;
@@ -493,15 +499,15 @@ impl Holistic<'_> {
         let ctx = self.ctx;
         let r_transfer = self.system.gateway.transfer_response();
         let k = ctx.fifo_pos[mi];
-        let s = &mut *self.s;
+        let (s, t) = (&mut *self.s, &mut *self.t);
         // Worst FIFO entry: after the CAN leg response plus the transfer
         // process.
-        s.ttp_j[mi] = s.can_r[mi]
+        t.ttp_j[mi] = t.can_r[mi]
             .saturating_sub(ctx.can_c[mi])
             .saturating_add(r_transfer);
         let old = s.fifo_flows[k];
-        s.fifo_flows[k].jitter = s.ttp_j[mi];
-        s.fifo_flows[k].offset = s.ttp_o[mi];
+        s.fifo_flows[k].jitter = t.ttp_j[mi];
+        s.fifo_flows[k].offset = t.ttp_o[mi];
         // The closed form warm-starts from the previous iterate (monotone
         // operator); the occurrence bound is a stateless function of its
         // inputs (its blocking term is not monotone in the enqueue jitter).
@@ -511,7 +517,7 @@ impl Holistic<'_> {
                 k,
                 &self.ttp_queue,
                 self.horizon,
-                s.fifo_warm[k],
+                t.fifo_warm[k],
             ),
             FifoBound::SlotOccurrence => {
                 fifo_delay_occurrence(&s.fifo_flows, k, &self.ttp_queue, self.horizon)
@@ -519,21 +525,21 @@ impl Holistic<'_> {
         };
         let (w, backlog) = match delay {
             Some(d) => {
-                s.fifo_warm[k] = d.delay;
+                t.fifo_warm[k] = d.delay;
                 (d.delay.saturating_add(self.grid_slack), d.backlog)
             }
             None => {
-                s.diverged = true;
+                t.diverged = true;
                 (self.horizon, s.fifo_flows[k].size_bytes.into())
             }
         };
-        s.ttp_w[mi] = w;
-        s.backlog[mi] = backlog;
-        s.ttp_r[mi] = s.ttp_j[mi]
+        t.ttp_w[mi] = w;
+        t.backlog[mi] = backlog;
+        t.ttp_r[mi] = t.ttp_j[mi]
             .saturating_add(w)
             .saturating_add(self.ttp_queue.slot_duration);
-        s.arrival[mi] = s.ttp_o[mi].saturating_add(s.ttp_r[mi]);
-        let new = build_fifo_flow(ctx, s, mi);
+        t.arrival[mi] = t.ttp_o[mi].saturating_add(t.ttp_r[mi]);
+        let new = build_fifo_flow(ctx, s, t, mi);
         s.fifo_flows[k] = new;
         if new == old {
             return;
@@ -555,7 +561,7 @@ impl Holistic<'_> {
         }
     }
 
-    /// Stages the kernel input arrays from the current scratch state: the
+    /// Stages the kernel input arrays from the current timing state: the
     /// sorted CAN flows, the FIFO flows, and — for each CPU hosting a dirty
     /// process — the rank-ordered task array. Every entry is at or below
     /// the least fixed point afterwards (clean entries *are* their LFP
@@ -594,37 +600,37 @@ impl Holistic<'_> {
         }
     }
 
-    /// Clears the scratch to the initial fixed-point state (`r_i = C_i`,
+    /// Clears the timing to the initial fixed-point state (`r_i = C_i`,
     /// everything else zero), reusing the allocations.
     fn reset(&mut self) {
         let app = &self.system.application;
         let n_p = app.processes().len();
         let n_m = app.messages().len();
-        let s = &mut *self.s;
-        for v in [&mut s.po, &mut s.pj, &mut s.pw, &mut s.pr] {
+        let t = &mut *self.t;
+        for v in [&mut t.po, &mut t.pj, &mut t.pw, &mut t.pr] {
             v.clear();
             v.resize(n_p, Time::ZERO);
         }
         for v in [
-            &mut s.can_o,
-            &mut s.can_j,
-            &mut s.can_w,
-            &mut s.can_r,
-            &mut s.ttp_o,
-            &mut s.ttp_j,
-            &mut s.ttp_w,
-            &mut s.ttp_r,
-            &mut s.arrival,
+            &mut t.can_o,
+            &mut t.can_j,
+            &mut t.can_w,
+            &mut t.can_r,
+            &mut t.ttp_o,
+            &mut t.ttp_j,
+            &mut t.ttp_w,
+            &mut t.ttp_r,
+            &mut t.arrival,
         ] {
             v.clear();
             v.resize(n_m, Time::ZERO);
         }
-        s.backlog.clear();
-        s.backlog.resize(n_m, 0);
-        s.fifo_warm.clear();
-        s.fifo_warm.resize(self.ctx.fifo_ids.len(), Time::ZERO);
-        s.diverged = false;
-        s.pr.copy_from_slice(&self.ctx.proc_wcet);
+        t.backlog.clear();
+        t.backlog.resize(n_m, 0);
+        t.fifo_warm.clear();
+        t.fifo_warm.resize(self.ctx.fifo_ids.len(), Time::ZERO);
+        t.diverged = false;
+        t.pr.copy_from_slice(&self.ctx.proc_wcet);
     }
 
     /// One topological walk of `graph`, (re)resolving the offsets and the
@@ -636,28 +642,27 @@ impl Holistic<'_> {
         let app = &system.application;
         let schedule = self.schedule;
         let r_transfer = system.gateway.transfer_response();
+        let (dirty, t) = (&self.s.dirty, &mut *self.t);
         for &p in app.topological_order(graph) {
             let pi = p.index();
-            let touch_proc = self.s.dirty.procs[pi];
+            let touch_proc = dirty.procs[pi];
             if ctx.proc_is_tt[pi] {
                 if touch_proc {
                     // Fixed by the schedule table for this whole run.
-                    let s = &mut *self.s;
-                    s.po[pi] = schedule
+                    t.po[pi] = schedule
                         .start(p)
                         // mcs-lint: allow(panic-policy) -- a schedule is only adopted after the list scheduler placed every TT process
                         .expect("TT process placed by the list scheduler");
-                    s.pj[pi] = Time::ZERO;
-                    s.pw[pi] = Time::ZERO;
-                    s.pr[pi] = ctx.proc_wcet[pi];
+                    t.pj[pi] = Time::ZERO;
+                    t.pw[pi] = Time::ZERO;
+                    t.pr[pi] = ctx.proc_wcet[pi];
                 }
             } else if touch_proc {
-                let (earliest, worst) = availability(ctx, self.s, app, schedule, p);
+                let (earliest, worst) = availability(ctx, t, app, schedule, p);
                 // Offsets derive from BCETs and the schedule only, so
                 // recomputing them is idempotent across visits.
-                let s = &mut *self.s;
-                s.po[pi] = earliest;
-                s.pj[pi] = worst.saturating_sub(earliest);
+                t.po[pi] = earliest;
+                t.pj[pi] = worst.saturating_sub(earliest);
             }
             // Outgoing message legs of p (checked per leg: a clean
             // process can still feed a leg dirtied through its bus
@@ -665,23 +670,23 @@ impl Holistic<'_> {
             for e in app.successors(p) {
                 let Some(m) = e.message else { continue };
                 let mi = m.index();
-                if self.s.dirty.can[mi] || self.s.dirty.frame[mi] {
-                    stage_leg(ctx, self.s, schedule, r_transfer, pi, mi);
+                if dirty.can[mi] || dirty.frame[mi] {
+                    stage_leg(ctx, t, schedule, r_transfer, pi, mi);
                 }
             }
         }
     }
 
     fn can_flow(&self, mi: usize) -> CanFlow {
-        build_can_flow(self.ctx, self.s, mi)
+        build_can_flow(self.ctx, self.s, self.t, mi)
     }
 
     fn fifo_flow(&self, mi: usize) -> FifoFlow {
-        build_fifo_flow(self.ctx, self.s, mi)
+        build_fifo_flow(self.ctx, self.s, self.t, mi)
     }
 
     fn task_flow(&self, pi: usize) -> TaskFlow {
-        build_task_flow(self.ctx, self.s, pi)
+        build_task_flow(self.ctx, self.s, self.t, pi)
     }
 
     /// Buffer bounds for `Out_CAN`, `Out_TTP` and every `Out_Ni`, left in
@@ -704,7 +709,7 @@ impl Holistic<'_> {
         self.s.queues.out_ttp = ctx
             .fifo_ids
             .iter()
-            .map(|&mi| self.s.backlog[mi])
+            .map(|&mi| self.t.backlog[mi])
             .max()
             .unwrap_or(0);
     }
@@ -715,7 +720,7 @@ impl Holistic<'_> {
         for &mi in ids {
             let flow = self.can_flow(mi);
             self.s.bound_flows.push(flow);
-            let delay = Some(self.s.can_w[mi]);
+            let delay = Some(self.t.can_w[mi]);
             self.s.bound_delays.push(delay);
         }
         mcs_can::queue_size_bound(&self.s.bound_flows, &self.s.bound_delays, self.horizon)
@@ -850,7 +855,7 @@ fn frame_arrival(schedule: &TtcSchedule, m: MessageId) -> Time {
 /// identically or the engine's bit-identity contract breaks.
 fn availability(
     ctx: &SystemContext,
-    s: &Scratch,
+    t: &Timing,
     app: &mcs_model::Application,
     schedule: &TtcSchedule,
     p: ProcessId,
@@ -862,8 +867,8 @@ fn availability(
             None => {
                 let src = e.source.index();
                 (
-                    s.po[src].saturating_add(ctx.proc_bcet[src]),
-                    s.po[src].saturating_add(s.pr[src]),
+                    t.po[src].saturating_add(ctx.proc_bcet[src]),
+                    t.po[src].saturating_add(t.pr[src]),
                 )
             }
             Some(m) => {
@@ -874,11 +879,11 @@ fn availability(
                         (a, a)
                     }
                     MessageRoute::EtcToEtc | MessageRoute::TtcToEtc => (
-                        s.can_o[mi].saturating_add(ctx.can_c[mi]),
-                        s.can_o[mi].saturating_add(s.can_r[mi]),
+                        t.can_o[mi].saturating_add(ctx.can_c[mi]),
+                        t.can_o[mi].saturating_add(t.can_r[mi]),
                     ),
                     MessageRoute::EtcToTtc => {
-                        (s.ttp_o[mi], s.ttp_o[mi].saturating_add(s.ttp_r[mi]))
+                        (t.ttp_o[mi], t.ttp_o[mi].saturating_add(t.ttp_r[mi]))
                     }
                 }
             }
@@ -897,76 +902,76 @@ fn availability(
 /// both paths.
 fn stage_leg(
     ctx: &SystemContext,
-    s: &mut Scratch,
+    t: &mut Timing,
     schedule: &TtcSchedule,
     r_transfer: Time,
     src_pi: usize,
     mi: usize,
 ) {
     let m = MessageId::new(mi as u32);
-    let enqueue_jitter = s.pr[src_pi].saturating_sub(ctx.proc_bcet[src_pi]);
+    let enqueue_jitter = t.pr[src_pi].saturating_sub(ctx.proc_bcet[src_pi]);
     match ctx.route[mi] {
         MessageRoute::TtcToTtc => {
-            s.arrival[mi] = frame_arrival(schedule, m);
+            t.arrival[mi] = frame_arrival(schedule, m);
         }
         MessageRoute::TtcToEtc => {
             // MBI arrival is deterministic; the gateway transfer process
             // adds its response time as jitter (paper: J_m1 = r_T).
-            s.can_o[mi] = frame_arrival(schedule, m);
-            s.can_j[mi] = r_transfer;
+            t.can_o[mi] = frame_arrival(schedule, m);
+            t.can_j[mi] = r_transfer;
         }
         MessageRoute::EtcToEtc => {
-            s.can_o[mi] = s.po[src_pi].saturating_add(ctx.proc_bcet[src_pi]);
-            s.can_j[mi] = enqueue_jitter;
+            t.can_o[mi] = t.po[src_pi].saturating_add(ctx.proc_bcet[src_pi]);
+            t.can_j[mi] = enqueue_jitter;
         }
         MessageRoute::EtcToTtc => {
-            let enqueue_earliest = s.po[src_pi].saturating_add(ctx.proc_bcet[src_pi]);
-            s.can_o[mi] = enqueue_earliest;
+            let enqueue_earliest = t.po[src_pi].saturating_add(ctx.proc_bcet[src_pi]);
+            t.can_o[mi] = enqueue_earliest;
             // Earliest FIFO entry: after the CAN wire time.
-            s.ttp_o[mi] = enqueue_earliest.saturating_add(ctx.can_c[mi]);
-            s.can_j[mi] = enqueue_jitter;
+            t.ttp_o[mi] = enqueue_earliest.saturating_add(ctx.can_c[mi]);
+            t.can_j[mi] = enqueue_jitter;
             // Worst FIFO entry: after the CAN leg response plus the
             // transfer process. (The FIFO recomputation re-derives this
             // from the post-kernel CAN response; staging it here from the
             // pre-kernel response is value-identical — the FIFO leg is
             // requeued whenever the CAN response changes.)
-            s.ttp_j[mi] = s.can_r[mi]
+            t.ttp_j[mi] = t.can_r[mi]
                 .saturating_sub(ctx.can_c[mi])
                 .saturating_add(r_transfer);
         }
     }
 }
 
-// Flow constructors as free functions over (context, scratch), so the
+// Flow constructors as free functions over (context, scratch, timing), so the
 // recomputations can rebuild single entries while holding split borrows of
 // the scratch; each kernel's input shape is assembled in exactly one place.
 
-fn build_can_flow(ctx: &SystemContext, s: &Scratch, mi: usize) -> CanFlow {
+fn build_can_flow(ctx: &SystemContext, s: &Scratch, t: &Timing, mi: usize) -> CanFlow {
     CanFlow {
         // mcs-lint: allow(panic-policy) -- kernels run only after validate_config accepted the configuration
         priority: s.msg_priority[mi].expect("validated configuration assigns CAN priorities"),
         period: ctx.msg_period[mi],
-        jitter: s.can_j[mi],
-        offset: s.can_o[mi],
+        jitter: t.can_j[mi],
+        offset: t.can_o[mi],
         transaction: Some(ctx.msg_phase[mi]),
         transmission: ctx.can_c[mi],
         size_bytes: ctx.msg_size[mi],
-        response: s.can_r[mi],
+        response: t.can_r[mi],
     }
 }
 
-fn build_fifo_flow(ctx: &SystemContext, s: &Scratch, mi: usize) -> FifoFlow {
+fn build_fifo_flow(ctx: &SystemContext, s: &Scratch, t: &Timing, mi: usize) -> FifoFlow {
     FifoFlow {
         rank: s.msg_priority[mi]
             .map(|p| u64::from(p.level()))
             // mcs-lint: allow(panic-policy) -- kernels run only after validate_config accepted the configuration
             .expect("validated configuration assigns CAN priorities"),
         period: ctx.msg_period[mi],
-        jitter: s.ttp_j[mi],
-        offset: s.ttp_o[mi],
+        jitter: t.ttp_j[mi],
+        offset: t.ttp_o[mi],
         transaction: Some(ctx.msg_phase[mi]),
         size_bytes: ctx.msg_size[mi],
-        response: s.ttp_r[mi],
+        response: t.ttp_r[mi],
     }
 }
 
@@ -984,17 +989,17 @@ fn transfer_task(system: &System) -> TaskFlow {
     }
 }
 
-fn build_task_flow(ctx: &SystemContext, s: &Scratch, pi: usize) -> TaskFlow {
+fn build_task_flow(ctx: &SystemContext, s: &Scratch, t: &Timing, pi: usize) -> TaskFlow {
     TaskFlow {
         // mcs-lint: allow(panic-policy) -- kernels run only after validate_config accepted the configuration
         rank: app_rank(s.proc_priority[pi].expect("validated configuration assigns ET priorities")),
         period: ctx.proc_period[pi],
-        jitter: s.pj[pi],
-        offset: s.po[pi],
+        jitter: t.pj[pi],
+        offset: t.po[pi],
         transaction: Some(ctx.proc_phase[pi]),
         wcet: ctx.proc_wcet[pi],
         blocking: ctx.proc_blocking[pi],
-        response: s.pr[pi],
+        response: t.pr[pi],
     }
 }
 
@@ -1156,6 +1161,39 @@ mod tests {
         };
         let delta = results(&evaluator, delta);
         (full, delta, evaluator.profile().delta_passes)
+    }
+
+    /// A pass stopped by the wave budget sits below the least fixed point,
+    /// so its bounds are optimistic: the evaluation must not report
+    /// convergence. On this instance one wave leaves the final pass short
+    /// of quiescence, while the default budget of 64 converges.
+    #[test]
+    fn a_pass_stopped_by_the_wave_budget_does_not_converge() {
+        let mut params = GeneratorParams::paper_sized(2, 0);
+        params.inter_cluster_messages = Some(10);
+        let system = generate(&params);
+        let mut config = plain_config(&system);
+        let mut rng = StdRng::seed_from_u64(0);
+        for _ in 0..30 {
+            swap_priorities(&system, &mut config, &mut DeltaSeeds::new(), &mut rng);
+        }
+        let evaluate = |max_holistic_iterations| {
+            let params = AnalysisParams {
+                max_holistic_iterations,
+                ..AnalysisParams::default()
+            };
+            let mut evaluator = Evaluator::new(&system, params);
+            let summary = evaluator.evaluate(&config).expect("valid configuration");
+            assert_eq!(summary.converged, evaluator.outcome().converged);
+            assert_eq!(summary.converged, summary.degree.converged);
+            summary
+        };
+        assert!(evaluate(64).converged);
+        let cut = evaluate(1);
+        assert!(
+            !cut.converged,
+            "a one-wave pass reported convergence: {cut:?}"
+        );
     }
 
     proptest! {

@@ -24,10 +24,11 @@
 //!   times, per-graph phase groups, per-ET-CPU process partitions,
 //!   gateway-crossing message lists, per-graph sinks, the analysis horizon —
 //!   everything that does not depend on the configuration ψ; and
-//! * **scratch state** — the `O/J/w/r` fixed-point vectors of processes and
-//!   message legs, the flow buffers handed to the CAN/CPU/FIFO kernels, the
-//!   outer-loop release maps and the TTC schedule — which is *cleared, not
-//!   reallocated*, between evaluations.
+//! * **scratch state** — the configuration's priority tables, the flow
+//!   buffers handed to the CAN/CPU/FIFO kernels, the outer-loop release
+//!   maps, and per outer iteration the TTC schedule with the `O/J/w/r`
+//!   fixed-point vectors of processes and message legs analyzed against it
+//!   — which is *cleared, not reallocated*, between evaluations.
 //!
 //! [`Evaluator::evaluate`] runs one configuration against the context and
 //! returns a cheap [`EvalSummary`] (δΓ and `s_total`); the full
@@ -39,9 +40,9 @@
 //! changed* configuration incrementally: the search loop reports the seed
 //! entities its move touched ([`DeltaSeeds`]), the seeds are closed over a
 //! static entity-dependency graph into a dirty cone, and only the RTA
-//! kernels inside the cone are re-run against per-iteration analysis
-//! snapshots — bit-identical to a full evaluation, at a fraction of the
-//! kernel work.
+//! kernels inside the cone are re-run, extending in place the timing each
+//! outer iteration of the previous evaluation left — bit-identical to a
+//! full evaluation, at a fraction of the kernel work.
 //!
 //! [`Evaluator::evaluate_batch`] lifts the same contract to whole candidate
 //! *neighborhoods*: N sibling configurations share the base's converged

@@ -45,7 +45,10 @@ pub struct AnalysisParams {
     /// point exceeding `horizon_factor × hyperperiod` is declared diverged
     /// and clamped.
     pub horizon_factor: u64,
-    /// Cap on inner (holistic) iterations per schedule.
+    /// Cap on the worklist waves of one holistic pass. A pass that exhausts
+    /// it stops below the least fixed point, so its bounds are optimistic:
+    /// when the final outer iteration's pass does, the evaluation reports
+    /// `converged: false`.
     pub max_holistic_iterations: u32,
     /// Cap on outer (schedule ↔ analysis) iterations.
     pub max_outer_iterations: u32,

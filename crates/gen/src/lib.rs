@@ -2,7 +2,7 @@
 //!
 //! Workload generation for the multi-cluster synthesis experiments:
 //!
-//! * [`generate`] — seeded random systems following the paper's §6 setup
+//! * [`generate()`] — seeded random systems following the paper's §6 setup
 //!   (2–10 nodes split between the clusters, 40 processes per node, message
 //!   sizes 8–32 bytes, uniform or exponential WCETs, an exact
 //!   inter-cluster-traffic knob for Figure 9c, and a per-graph

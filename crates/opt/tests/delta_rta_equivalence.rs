@@ -12,7 +12,9 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use mcs_core::{AnalysisParams, DeltaSeeds, EvalProfile, EvalSummary, Evaluator};
+use mcs_core::{
+    AnalysisError, AnalysisOutcome, AnalysisParams, DeltaSeeds, EvalProfile, EvalSummary, Evaluator,
+};
 use mcs_gen::{generate, GeneratorParams, PeriodMultipliers};
 use mcs_model::{MessageRoute, System, SystemConfig};
 use mcs_opt::{
@@ -201,6 +203,58 @@ fn priority_swap_walk_stays_identical_and_hits_the_delta_path() {
         delta_hits > 0,
         "the delta fast path was never taken ({delta_hits} delta vs {full} full)"
     );
+}
+
+/// A configuration `validate_config` rejects never reaches the analysis, so
+/// the evaluator keeps the last one: `has_run` still holds, the outcome is
+/// the previous configuration's, and that configuration stays the delta
+/// base. SA relies on this: after an infeasible neighbour it samples pin
+/// moves from the timing still held, and extends the state with seeds
+/// relative to the last completed evaluation.
+#[test]
+fn a_rejected_configuration_keeps_the_last_analysis_and_delta_base() {
+    let tables = |o: AnalysisOutcome| {
+        let meta = (o.converged, o.iterations);
+        let timing = (o.process_timing, o.message_timing, o.graph_response);
+        (o.schedule, timing, o.queues, meta)
+    };
+    let system = small_system(42);
+    let analysis = AnalysisParams::default();
+    let mut config = straightforward_config(&system);
+    config.priorities = hopa_priorities(&system, &config.tdma);
+    let mut evaluator = Evaluator::new(&system, analysis);
+    evaluator.evaluate(&config).expect("analyzable");
+    let before = tables(evaluator.outcome());
+
+    let mut rejected = config.clone();
+    rejected.tdma.slots_mut()[0].capacity_bytes = 1;
+    let error = evaluator
+        .evaluate(&rejected)
+        .expect_err("a 1-byte slot is invalid");
+    assert!(matches!(error, AnalysisError::Config(_)), "{error:?}");
+    assert!(evaluator.has_run());
+    assert_eq!(tables(evaluator.outcome()), before);
+
+    let current = evaluate(&system, config.clone(), &analysis).expect("analyzable");
+    let mv = neighborhood(&system, &current)
+        .into_iter()
+        .find(|m| matches!(m, Move::SwapProcessPriorities(_, _)))
+        .expect("a process priority swap");
+    let mut seeds = DeltaSeeds::new();
+    mv.apply_undoable_seeded(&mut config, &mut seeds);
+    let warm = evaluator
+        .evaluate_delta(&config, &seeds)
+        .expect("analyzable");
+    assert!(
+        evaluator.profile().delta_passes > 0,
+        "the swap did not extend the last analysis"
+    );
+    let fresh = evaluate(&system, config, &analysis).expect("analyzable");
+    assert_eq!(
+        (warm.degree, warm.total_buffers),
+        (fresh.degree, fresh.total_buffers)
+    );
+    assert_eq!(tables(evaluator.outcome()), tables(fresh.outcome));
 }
 
 /// Samples `len` SAS moves from `start`, each with the Metropolis decision
