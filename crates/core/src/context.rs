@@ -33,10 +33,10 @@
 //! A single design transformation perturbs only a small cone of the
 //! holistic fixed point. [`Evaluator::evaluate_delta`] exploits that: the
 //! optimizer reports the seed entities a move touched
-//! ([`DeltaSeeds`]), the seeds are closed over the
-//! static entity-dependency graph of [`crate::delta`] (route successors,
-//! priority-band interference sets on each ET CPU and the CAN bus,
-//! phase-group membership, gateway coupling), and the outer
+//! ([`DeltaSeeds`]), [`crate::delta`] closes the seeds over the
+//! entity-dependency graph the worklist engine requeues along
+//! ([`crate::holistic::for_each_dependent`]: priority bands on each ET CPU,
+//! the CAN bus and the `Out_TTP` FIFO, and route successors), and the outer
 //! schedule↔analysis loop *replays the evaluation trajectory*:
 //!
 //! * every outer iteration's memo slot ([`SchedCacheEntry`]) holds the
@@ -144,7 +144,8 @@ pub(crate) struct SystemContext {
     pub sinks: Vec<Vec<ProcessId>>,
     /// The divergence horizon: `horizon_factor × hyperperiod`.
     pub horizon: Time,
-    // Static entity-dependency tables for delta evaluation (see
+    // Static tables of the entity-dependency graph (see
+    // [`crate::holistic::for_each_dependent`]) and the delta closure (see
     // [`crate::delta`]).
     /// Number of process graphs (phase groups are per graph).
     pub n_graphs: usize,
@@ -438,8 +439,10 @@ pub(crate) struct Scratch {
     /// index; `usize::MAX` for TT processes).
     pub node_pos: Vec<usize>,
     // Delta-evaluation state (see [`crate::delta`]).
-    /// The dirty cone of the current evaluation (every entity on the full
-    /// path — the full and delta runs are two seedings of one engine).
+    /// The dirty cone of the current pass: the seeds closed over the graph
+    /// of [`crate::holistic::for_each_dependent`], so every dependent of a
+    /// dirty entity is dirty (every entity on the full path — the full and
+    /// delta runs are two seedings of one engine).
     pub dirty: DirtySet,
     // Worklist engine state (see [`crate::holistic`]): per-key pending
     // flags and key lists of the current and the next wave.
@@ -881,7 +884,8 @@ impl<'s> Evaluator<'s> {
         let mut iterations = 0;
         let mut settled = false;
         let mut holistic_stable = false;
-        while iterations < self.params.max_outer_iterations {
+        // At least one outer iteration, so the memo holds the analyzed slot.
+        while iterations < self.params.max_outer_iterations.max(1) {
             let slot = iterations as usize;
             iterations += 1;
             if self.sched_cache.len() <= slot {
@@ -1007,9 +1011,10 @@ impl<'s> Evaluator<'s> {
     /// configuration of this evaluator's last *successful* evaluation
     /// (search loops accumulate seeds across rejected/reverted moves and
     /// clear them after every successful call; a configuration rejected as
-    /// invalid leaves that base in place). The seeds are closed over
-    /// the static dependency graph (the crate-internal `delta` module) and
-    /// the outer schedule↔analysis loop replays the evaluation trajectory:
+    /// invalid leaves that base in place). The seeds are closed over the
+    /// entity-dependency graph the worklist engine requeues along (the
+    /// crate-internal `delta` module) and the outer schedule↔analysis loop
+    /// replays the evaluation trajectory:
     ///
     /// * an outer iteration whose schedule inputs (TDMA round + release
     ///   bounds) hit the memo **and** whose timing the immediately preceding
@@ -1556,17 +1561,18 @@ impl<'s> Evaluator<'s> {
 #[cfg(test)]
 impl Evaluator<'_> {
     /// Test hook for the delta closure: stages the configuration-derived
-    /// tables and closes `seeds` plus moved frames over the dependency
-    /// graph, leaving the flags in the scratch.
+    /// tables and closes `seeds` plus moved TT starts and frames over the
+    /// dependency graph, leaving the flags in the scratch.
     pub(crate) fn close_for_test(
         &mut self,
         config: &SystemConfig,
         seeds: &DeltaSeeds,
+        moved_procs: &[ProcessId],
         moved_msgs: &[MessageId],
     ) {
         self.prepare_config(config)
             .expect("valid test configuration");
-        close_dirty(&self.ctx, &mut self.scratch, seeds, &[], moved_msgs);
+        close_dirty(&self.ctx, &mut self.scratch, seeds, moved_procs, moved_msgs);
     }
 
     /// Test hook: the dirty flags left by [`close_for_test`].
@@ -1574,6 +1580,12 @@ impl Evaluator<'_> {
     /// [`close_for_test`]: Evaluator::close_for_test
     pub(crate) fn dirty_for_test(&self) -> &DirtySet {
         &self.scratch.dirty
+    }
+
+    /// Test hook: the system tables and the scratch, to walk the dependency
+    /// graph of the last prepared configuration.
+    pub(crate) fn tables_for_test(&self) -> (&SystemContext, &Scratch) {
+        (&self.ctx, &self.scratch)
     }
 
     /// Test hook for the visiting order: evaluates `config` exactly as

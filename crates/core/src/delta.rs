@@ -4,30 +4,23 @@
 //! CAN bus — perturbs only a small cone of the holistic fixed point; the
 //! rest of the system's response times are provably unchanged. This module
 //! derives that cone: the optimizer reports the *seed* entities a move
-//! touched ([`DeltaSeeds`]), and [`close_dirty`] closes them over the static
-//! entity-dependency graph of the [`SystemContext`]:
+//! touched ([`DeltaSeeds`]), and [`close_dirty`] closes them over the
+//! entity-dependency graph of [`for_each_dependent`] — its route edges and
+//! each priority band as the chain to the next lower priority, whose
+//! closure is the band. Each dirty process and CAN leg also marks its
+//! process graph (transaction), so the delta jitter propagation walks only
+//! the graphs that contain dirty entities, and each dirty process its ET
+//! CPU, whose task array is restaged.
 //!
-//! * **route successors** — a process's response time feeds the release
-//!   jitter of its outgoing message legs and of its direct ET successors; a
-//!   CAN leg's response feeds its (ET) destination's jitter, and the CAN leg
-//!   of an ETC→TTC message feeds the enqueue jitter of its FIFO leg;
-//! * **priority-band interference sets** — a dirty task dirties every
-//!   lower-priority task on the same ET CPU, and a dirty CAN flow dirties
-//!   every lower-priority flow on the bus (their `hp` sets contain the dirty
-//!   entity); higher-priority entities are untouched because both kernels
-//!   draw interference only from strictly higher priorities and their
-//!   blocking bounds depend only on the (unchanged) membership multiset;
-//! * **phase groups** — each dirty entity marks its process graph
-//!   (transaction), so the delta jitter propagation walks only the graphs
-//!   that contain dirty entities;
-//! * **gateway coupling** — the FIFO leg of a dirty ETC→TTC message dirties
-//!   every FIFO leg drained after it (lower CAN priority). Release inputs of
-//!   the outer schedule↔analysis fixed point (FIFO arrivals bounding TT
-//!   releases, ET-hosted TTP sender completions bounding frame releases) are
-//!   not closed over here: the *trajectory replay* of
-//!   [`Evaluator::evaluate_delta`](crate::Evaluator::evaluate_delta)
-//!   re-derives the releases after every outer iteration and re-schedules
-//!   (diffing the new schedule into the cone) when they changed.
+//! Higher-priority entities are untouched because both kernels draw
+//! interference only from strictly higher priorities and their blocking
+//! bounds depend only on the (unchanged) membership multiset. Release
+//! inputs of the outer schedule↔analysis fixed point (FIFO arrivals
+//! bounding TT releases, ET-hosted TTP sender completions bounding frame
+//! releases) are not closed over here: the *trajectory replay* of
+//! [`Evaluator::evaluate_delta`](crate::Evaluator::evaluate_delta)
+//! re-derives the releases after every outer iteration and re-schedules
+//! (diffing the new schedule into the cone) when they changed.
 //!
 //! The closure is exact in the conservative direction: every entity whose
 //! analysis inputs can change is marked dirty, so entities left clean keep
@@ -35,9 +28,10 @@
 //! configuration — which is what makes the delta evaluation bit-identical
 //! to a full re-analysis.
 
-use mcs_model::{MessageId, MessageRoute, ProcessId};
+use mcs_model::{MessageId, ProcessId};
 
-use crate::context::{Scratch, SystemContext};
+use crate::context::{Scratch, SystemContext, WlEntity};
+use crate::holistic::{for_each_dependent, Band};
 
 /// The seed entities a configuration change touched, reported by the
 /// optimizer's move layer (`mcs_opt::Move::apply_undoable_seeded`).
@@ -130,15 +124,6 @@ impl DeltaSeeds {
     }
 }
 
-/// One entity on the closure worklist.
-#[derive(Clone, Copy, Debug)]
-enum Key {
-    /// An ET process, by process index.
-    Proc(usize),
-    /// The CAN leg of a message, by message index.
-    Can(usize),
-}
-
 /// The dirty entities of one delta evaluation, kept in [`Scratch`] so the
 /// flag vectors are reused across evaluations.
 #[derive(Clone, Debug, Default)]
@@ -157,8 +142,9 @@ pub(crate) struct DirtySet {
     pub graphs: Vec<bool>,
     /// ET CPUs hosting a dirty process, by `et_nodes` index.
     pub nodes: Vec<bool>,
-    /// Worklist of entities whose dependents still need marking.
-    work: Vec<Key>,
+    /// Worklist keys of the marked entities whose dependents still need
+    /// marking.
+    work: Vec<u32>,
 }
 
 impl DirtySet {
@@ -179,18 +165,41 @@ impl DirtySet {
         self.work.clear();
     }
 
-    fn mark_proc(&mut self, pi: usize) {
-        if !self.procs[pi] {
-            self.procs[pi] = true;
-            self.work.push(Key::Proc(pi));
+    /// Whether the worklist entity is dirty.
+    pub(crate) fn contains(&self, entity: WlEntity) -> bool {
+        match entity {
+            WlEntity::Proc(pi) => self.procs[pi as usize],
+            WlEntity::Can(mi) => self.can[mi as usize],
+            WlEntity::Fifo(mi) => self.ttp[mi as usize],
         }
     }
 
-    fn mark_can(&mut self, mi: usize) {
-        if !self.can[mi] {
-            self.can[mi] = true;
-            self.work.push(Key::Can(mi));
+    /// Marks the entity of worklist key `key` dirty, with its graph and
+    /// CPU, and queues its dependents for marking; `u32::MAX`, the key of
+    /// an entity the engine does not analyze, marks nothing.
+    fn mark(&mut self, ctx: &SystemContext, key: u32) {
+        let Some(&entity) = ctx.wl_entities.get(key as usize) else {
+            return;
+        };
+        if self.contains(entity) {
+            return;
         }
+        match entity {
+            WlEntity::Proc(pi) => {
+                let pi = pi as usize;
+                self.procs[pi] = true;
+                self.graphs[ctx.proc_graph[pi] as usize] = true;
+                if let Some(ni) = ctx.proc_et_node[pi] {
+                    self.nodes[ni as usize] = true;
+                }
+            }
+            WlEntity::Can(mi) => {
+                self.can[mi as usize] = true;
+                self.graphs[ctx.msg_graph[mi as usize] as usize] = true;
+            }
+            WlEntity::Fifo(mi) => self.ttp[mi as usize] = true,
+        }
+        self.work.push(key);
     }
 
     /// Marks every analyzed entity dirty — the seeding of the *full*
@@ -214,11 +223,10 @@ impl DirtySet {
 
 /// Closes the configuration seeds and the schedule-diff seeds (processes
 /// whose start and messages whose frame placement moved in a schedule
-/// rebuild) over the entity-dependency graph, leaving the per-entity flags
-/// in `scratch.dirty`.
+/// rebuild) over the graph of [`for_each_dependent`], leaving the
+/// per-entity flags in `scratch.dirty`.
 ///
-/// Requires the configuration-derived tables of `scratch` (`can_order`,
-/// `can_pos`, `node_order`, `node_pos`, `msg_priority`) to reflect the
+/// Requires the priority-sorted tables of `scratch` to reflect the
 /// configuration being evaluated — the priority bands are read from them.
 pub(crate) fn close_dirty(
     ctx: &SystemContext,
@@ -227,127 +235,53 @@ pub(crate) fn close_dirty(
     moved_procs: &[ProcessId],
     moved_msgs: &[MessageId],
 ) {
-    let Scratch {
-        dirty,
-        can_order,
-        can_pos,
-        node_order,
-        node_pos,
-        msg_priority,
-        ..
-    } = scratch;
+    let mut dirty = std::mem::take(&mut scratch.dirty);
     dirty.reset(ctx);
-
-    for &p in seeds.processes() {
-        let pi = p.index();
-        // A TT process's priority is not read by the analysis (its timing
-        // is fixed by the schedule table), so a stray TT seed perturbs
-        // nothing.
-        if !ctx.proc_is_tt[pi] {
-            dirty.mark_proc(pi);
-        }
+    // A priority enters the analysis through the entity it orders: an ET
+    // process, or a message's CAN leg. The priorities of TT processes
+    // (timed by the schedule table) and of TTC→TTC messages are not read,
+    // so such a seed perturbs nothing.
+    for p in seeds.processes() {
+        dirty.mark(ctx, ctx.wl_key_proc[p.index()]);
     }
-    for &m in seeds.messages() {
-        let mi = m.index();
-        // Priorities of messages without a CAN leg (TTC→TTC traffic) are
-        // not read by the analysis; everything else enters through its CAN
-        // leg.
-        if ctx.route[mi].uses_can() {
-            dirty.mark_can(mi);
-        }
+    for m in seeds.messages() {
+        dirty.mark(ctx, ctx.wl_key_can[m.index()]);
     }
-    // Schedule-diff seeds: a moved TT start re-enters the analysis as the
-    // process's (fixed) offset; a moved frame as the frame-derived arrival
-    // (TTC→TTC) or CAN-leg offset (TTC→ETC).
-    for &p in moved_procs {
-        dirty.mark_proc(p.index());
+    // Schedule-diff seeds. A moved start is a TT process's, and re-enters
+    // the analysis as its fixed offset, which the seeding walk of its graph
+    // re-reads. It has no worklist dependents: its message-free successors
+    // share its TT CPU, and its moved frames are diff seeds of their own.
+    for p in moved_procs {
+        debug_assert!(ctx.proc_is_tt[p.index()], "only TT processes have starts");
+        dirty.procs[p.index()] = true;
+        dirty.graphs[ctx.proc_graph[p.index()] as usize] = true;
     }
-    for &m in moved_msgs {
+    // A moved frame re-enters as the frame-derived arrival (TTC→TTC) or
+    // as the CAN-leg offset (TTC→ETC), whose leg and band re-derive.
+    for m in moved_msgs {
         let mi = m.index();
         dirty.frame[mi] = true;
         dirty.graphs[ctx.msg_graph[mi] as usize] = true;
-        if matches!(ctx.route[mi], MessageRoute::TtcToEtc) {
-            // The moved frame shifts the CAN-leg offset: the flow's own
-            // delay and its priority band must be re-derived.
-            dirty.mark_can(mi);
-        }
+        dirty.mark(ctx, ctx.wl_key_can[mi]);
     }
-
     while let Some(key) = dirty.work.pop() {
-        match key {
-            Key::Proc(pi) => {
-                dirty.graphs[ctx.proc_graph[pi] as usize] = true;
-                if let Some(ni) = ctx.proc_et_node[pi] {
-                    let ni = ni as usize;
-                    dirty.nodes[ni] = true;
-                    // Priority band: every lower-priority process on the CPU
-                    // sees pi in its hp set.
-                    for p in &node_order[ni][node_pos[pi] + 1..] {
-                        dirty.mark_proc(p.index());
-                    }
-                    for &mi in &ctx.proc_out_et_msgs[pi] {
-                        dirty.mark_can(mi as usize);
-                    }
-                }
-                // (A dirty TT process — a moved schedule start — propagates
-                // only through its direct ET successors; its outgoing
-                // message legs are frame-driven and seeded by the diff.)
-                for &q in &ctx.proc_direct_succ[pi] {
-                    dirty.mark_proc(q as usize);
-                }
-            }
-            Key::Can(mi) => {
-                dirty.graphs[ctx.msg_graph[mi] as usize] = true;
-                // Priority band: every lower-priority flow on the bus sees
-                // mi in its hp set.
-                for &mj in &can_order[can_pos[mi] + 1..] {
-                    dirty.mark_can(mj);
-                }
-                match ctx.route[mi] {
-                    MessageRoute::EtcToTtc => {
-                        // The CAN-leg response feeds the FIFO enqueue
-                        // jitter, and the FIFO drains in CAN-priority order:
-                        // the dirty leg and every leg drained after it
-                        // (higher rank value) must be re-derived. A FIFO leg
-                        // propagates nothing further itself — its arrival
-                        // bounds a TT release, which the trajectory replay
-                        // of the outer loop re-derives and re-checks.
-                        let level = msg_priority[mi]
-                            // mcs-lint: allow(panic-policy) -- the delta closure only runs on configurations evaluate() has validated
-                            .expect("validated configuration assigns CAN priorities")
-                            .level();
-                        for &mj in &ctx.fifo_ids {
-                            if mj == mi
-                                || msg_priority[mj]
-                                    // mcs-lint: allow(panic-policy) -- the delta closure only runs on configurations evaluate() has validated
-                                    .expect("validated configuration assigns CAN priorities")
-                                    .level()
-                                    >= level
-                            {
-                                dirty.ttp[mj] = true;
-                            }
-                        }
-                    }
-                    MessageRoute::EtcToEtc | MessageRoute::TtcToEtc => {
-                        let dest = ctx.msg_dest[mi] as usize;
-                        if !ctx.proc_is_tt[dest] {
-                            dirty.mark_proc(dest);
-                        }
-                    }
-                    MessageRoute::TtcToTtc => {}
-                }
-            }
-        }
+        for_each_dependent(ctx, scratch, key as usize, Band::Next, true, |d| {
+            dirty.mark(ctx, d as u32);
+        });
     }
+    scratch.dirty = dirty;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::Evaluator;
+    use crate::holistic::tests::plain_config;
     use crate::multicluster::AnalysisParams;
-    use mcs_gen::{figure4, figure4_ids as ids};
+    use mcs_gen::{figure4, figure4_ids as ids, generate, GeneratorParams};
     use mcs_model::Time;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn fig() -> mcs_gen::Figure4 {
         figure4(Time::from_millis(200))
@@ -381,10 +315,10 @@ mod tests {
         assert_ne!(seeds.processes().len(), doubled.processes().len());
 
         let mut a = Evaluator::new(&fig.system, AnalysisParams::default());
-        a.close_for_test(&fig.config_a, &seeds, &[]);
+        a.close_for_test(&fig.config_a, &seeds, &[], &[]);
         let dirty_once = a.dirty_for_test().clone();
         let mut b = Evaluator::new(&fig.system, AnalysisParams::default());
-        b.close_for_test(&fig.config_a, &doubled, &[]);
+        b.close_for_test(&fig.config_a, &doubled, &[], &[]);
         let dirty_twice = b.dirty_for_test();
         // Duplicated seeds close to the identical cone.
         assert_eq!(dirty_once.procs, dirty_twice.procs);
@@ -396,7 +330,7 @@ mod tests {
     fn empty_seeds_close_to_an_empty_cone() {
         let fig = fig();
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        ev.close_for_test(&fig.config_a, &DeltaSeeds::new(), &[]);
+        ev.close_for_test(&fig.config_a, &DeltaSeeds::new(), &[], &[]);
         let dirty = ev.dirty_for_test();
         for flags in [&dirty.procs, &dirty.can, &dirty.ttp, &dirty.frame] {
             assert!(flags.iter().all(|&d| !d));
@@ -411,7 +345,7 @@ mod tests {
         let mut seeds = DeltaSeeds::new();
         seeds.push_message(ids::M3);
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        ev.close_for_test(&fig.config_a, &seeds, &[]);
+        ev.close_for_test(&fig.config_a, &seeds, &[], &[]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.can[ids::M3.index()]);
         assert!(dirty.ttp[ids::M3.index()]);
@@ -421,7 +355,7 @@ mod tests {
         let mut seeds = DeltaSeeds::new();
         seeds.push_message(ids::M1);
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        ev.close_for_test(&fig.config_a, &seeds, &[]);
+        ev.close_for_test(&fig.config_a, &seeds, &[], &[]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.can[ids::M1.index()]);
         assert!(dirty.can[ids::M2.index()]);
@@ -438,7 +372,7 @@ mod tests {
         let mut seeds = DeltaSeeds::new();
         seeds.push_process(ids::P2);
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        ev.close_for_test(&fig.config_a, &seeds, &[]);
+        ev.close_for_test(&fig.config_a, &seeds, &[], &[]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.procs[ids::P2.index()]);
         assert!(!dirty.procs[ids::P3.index()]);
@@ -449,7 +383,7 @@ mod tests {
         let mut seeds = DeltaSeeds::new();
         seeds.push_process(ids::P3);
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        ev.close_for_test(&fig.config_a, &seeds, &[]);
+        ev.close_for_test(&fig.config_a, &seeds, &[], &[]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.procs[ids::P3.index()]);
         assert!(dirty.procs[ids::P2.index()]);
@@ -459,7 +393,7 @@ mod tests {
     fn moved_placements_seed_the_frame_and_the_can_band() {
         let fig = fig();
         let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
-        ev.close_for_test(&fig.config_a, &DeltaSeeds::new(), &[ids::M1]);
+        ev.close_for_test(&fig.config_a, &DeltaSeeds::new(), &[], &[ids::M1]);
         let dirty = ev.dirty_for_test();
         assert!(dirty.frame[ids::M1.index()]);
         // A moved TTC→ETC frame shifts the CAN-leg offset: the flow and its
@@ -467,5 +401,75 @@ mod tests {
         assert!(dirty.can[ids::M1.index()]);
         assert!(dirty.can[ids::M3.index()]);
         assert!(dirty.ttp[ids::M3.index()]);
+    }
+
+    #[test]
+    fn a_moved_tt_start_marks_its_process_and_graph_only() {
+        let fig = fig();
+        let mut ev = Evaluator::new(&fig.system, AnalysisParams::default());
+        ev.close_for_test(&fig.config_a, &DeltaSeeds::new(), &[ids::P1], &[]);
+        let dirty = ev.dirty_for_test();
+        // P1's start re-enters as its fixed offset, which the seeding walk
+        // of G1 re-reads.
+        assert!(dirty.procs[ids::P1.index()]);
+        assert_eq!(dirty.graphs, [true]);
+        // P1 has no message-free ET successor, and its TTC→ETC frames are
+        // diff seeds of their own: no worklist entity is dirty.
+        assert_eq!(dirty.procs.iter().filter(|&&d| d).count(), 1);
+        for flags in [&dirty.can, &dirty.ttp, &dirty.frame, &dirty.nodes] {
+            assert!(flags.iter().all(|&d| !d));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The closure of an arbitrary seed set is a cone of the dependency
+        /// graph: every seed with a worklist entity is dirty, and so is
+        /// every whole-band and route dependent of a dirty entity.
+        #[test]
+        fn the_closure_holds_every_seed_and_every_dependent(
+            half_nodes in 1usize..=2,
+            multi_rate in any::<bool>(),
+            seed in 0u64..1_000,
+            picks in any::<u64>(),
+        ) {
+            let nodes = 2 * half_nodes;
+            let params = if multi_rate {
+                GeneratorParams::multi_rate(nodes, seed)
+            } else {
+                GeneratorParams::paper_sized(nodes, seed)
+            };
+            let system = generate(&params);
+            let app = &system.application;
+            let mut rng = StdRng::seed_from_u64(picks);
+            let mut seeds = DeltaSeeds::new();
+            for p in app.processes().iter().filter(|_| rng.gen_range(0..8) == 0) {
+                seeds.push_process(p.id());
+            }
+            for m in app.messages().iter().filter(|_| rng.gen_range(0..8) == 0) {
+                seeds.push_message(m.id());
+            }
+            let mut ev = Evaluator::new(&system, AnalysisParams::default());
+            ev.close_for_test(&plain_config(&system), &seeds, &[], &[]);
+            let (ctx, s) = ev.tables_for_test();
+            let seeded = seeds.processes().iter().map(|p| ctx.wl_key_proc[p.index()]);
+            let seeded = seeded.chain(seeds.messages().iter().map(|m| ctx.wl_key_can[m.index()]));
+            for key in seeded.filter(|&key| key != u32::MAX) {
+                let entity = ctx.wl_entities[key as usize];
+                prop_assert!(s.dirty.contains(entity), "seed {:?} is clean", entity);
+            }
+            let mut missed = Vec::new();
+            for (key, &entity) in ctx.wl_entities.iter().enumerate() {
+                if s.dirty.contains(entity) {
+                    for_each_dependent(ctx, s, key, Band::Whole, true, |d| {
+                        if !s.dirty.contains(ctx.wl_entities[d]) {
+                            missed.push((entity, ctx.wl_entities[d]));
+                        }
+                    });
+                }
+            }
+            prop_assert!(missed.is_empty(), "dirty → clean dependents: {:?}", missed);
+        }
     }
 }

@@ -19,29 +19,24 @@
 //! values, refresh its entry in the shared kernel input array, re-run its
 //! kernel fixed point, and compare the externally visible result (the flow
 //! entry plus the route-facing offset/response) against the previous one.
-//! Only when a value actually **changed** are the entity's dependents
-//! requeued:
-//!
-//! * the lower-priority entities on the same resource (their interference
-//!   prefix contains the changed flow),
-//! * the route successors (direct ET successors, the legs the process
-//!   sources, the CAN leg's destination or its FIFO continuation), and
-//! * for a FIFO leg, the legs drained after it.
+//! Only when a value actually **changed** are the entity's dependents —
+//! the entities that read it, as the entity-dependency graph of
+//! [`for_each_dependent`] lists them — requeued: the whole priority band
+//! below it, and its route successors when its offset or response moved.
 //!
 //! The worklist visits entities in a **per-configuration dependency
 //! order** ([`order_worklist`]; iterating in a topological order of the
 //! dependency graph is Bourdoncle's classic strategy for chaotic
-//! iteration): a topological order of the graph whose edges are exactly
-//! the requeue rules above under the current priority assignment, each
-//! priority band reduced to a chain to the next lower priority on its
-//! resource — which orders a sort exactly like the whole band does. The
-//! order is rebuilt whenever the priority-sorted tables are (a changed TDMA
-//! round or priority assignment), never for a pins-only change. Where the
-//! graph is acyclic, as on the single-rate instances measured, a full pass
-//! visits each entity once, after everything it reads, and converges in
-//! one wave; a cycle (bus ↔ CPU ↔ FIFO couplings, as on multi-rate
-//! instances) is broken at its smallest static key and requeues until
-//! quiescent.
+//! iteration): a topological order of that graph under the current
+//! priority assignment, each priority band reduced to a chain to the next
+//! lower priority on its resource — which orders a sort exactly like the
+//! whole band does. The order is rebuilt whenever the priority-sorted
+//! tables are (a changed TDMA round or priority assignment), never for a
+//! pins-only change. Where the graph is acyclic, as on the single-rate
+//! instances measured, a full pass visits each entity once, after
+//! everything it reads, and converges in one wave; a cycle (bus ↔ CPU ↔
+//! FIFO couplings, as on multi-rate instances) is broken at its smallest
+//! static key and requeues until quiescent.
 //!
 //! The order is free to choose: the argument below makes every visiting
 //! order reach the same least fixed point, offsets are resolved by the
@@ -93,7 +88,10 @@
 //! entity is clean, so the clean part of the old least fixed point solves
 //! the new equations and the dirty part re-climbs against it from the
 //! bottom — reaching the least fixed point of the *whole* new system (the
-//! standard restriction argument; see [`crate::delta`]).
+//! standard restriction argument; see [`crate::delta`]). The closure walks
+//! the same graph the requeues do, so every dependent a requeue reaches is
+//! in the cone; [`Holistic::solve`] asserts that in debug builds, naming
+//! the edge a closure missed.
 //!
 //! The engine operates entirely on the reusable state of [`crate::context`]:
 //! the immutable `SystemContext` tables, the `Scratch` of the configuration
@@ -259,31 +257,33 @@ impl Holistic<'_> {
     /// since its last visit. Reports no quiescence when the wave budget
     /// (`max_iterations`, mirroring the pass-based cap) is exhausted
     /// mid-climb.
+    ///
+    /// The requeues walk [`for_each_dependent`]: a changed flow entry
+    /// requeues the whole band below it, a moved offset or response also
+    /// the route successors. Each is dirty, as debug builds assert: the
+    /// closure walks the same graph.
     fn solve(&mut self) -> Solve {
         let ctx = self.ctx;
         let n = ctx.wl_entities.len();
-        {
-            let s = &mut *self.s;
-            debug_assert_eq!(s.wl_order.len(), n, "worklist order not computed");
-            s.wl_pending.clear();
-            s.wl_pending.resize(n, false);
-            s.wl_next_pending.clear();
-            s.wl_next_pending.resize(n, false);
-            s.wl_current.clear();
-            s.wl_next.clear();
-            // The first wave: the dirty keys, in rank order.
-            for &key in &s.wl_order {
-                let dirty = match ctx.wl_entities[key as usize] {
-                    WlEntity::Proc(pi) => s.dirty.procs[pi as usize],
-                    WlEntity::Can(mi) => s.dirty.can[mi as usize],
-                    WlEntity::Fifo(mi) => s.dirty.ttp[mi as usize],
-                };
-                if dirty {
-                    s.wl_pending[key as usize] = true;
-                    s.wl_current.push(key);
-                }
+        let s = &mut *self.s;
+        debug_assert_eq!(s.wl_order.len(), n, "worklist order not computed");
+        s.wl_pending.clear();
+        s.wl_pending.resize(n, false);
+        s.wl_current.clear();
+        // The first wave: the dirty keys, in rank order.
+        for &key in &s.wl_order {
+            if s.dirty.contains(ctx.wl_entities[key as usize]) {
+                s.wl_pending[key as usize] = true;
+                s.wl_current.push(key);
             }
         }
+        // The next wave's buffers leave the scratch while it is solved, so
+        // the requeues can fill them as they walk the scratch's bands.
+        let mut next = std::mem::take(&mut s.wl_next);
+        let mut next_pending = std::mem::take(&mut s.wl_next_pending);
+        next.clear();
+        next_pending.clear();
+        next_pending.resize(n, false);
         let mut solve = Solve {
             quiescent: false,
             waves: 0,
@@ -291,40 +291,51 @@ impl Holistic<'_> {
             cpu_passes: 0,
             can_passes: 0,
         };
-        for _ in 0..self.max_iterations {
-            if self.s.wl_current.is_empty() {
-                solve.quiescent = true;
-                return solve;
-            }
+        while !self.s.wl_current.is_empty() && solve.waves < u64::from(self.max_iterations) {
             solve.waves += 1;
             solve.recomputations += self.s.wl_current.len() as u64;
-            let mut i = 0;
-            while i < self.s.wl_current.len() {
-                let key = self.s.wl_current[i];
-                i += 1;
-                self.s.wl_pending[key as usize] = false;
-                match ctx.wl_entities[key as usize] {
+            for i in 0..self.s.wl_current.len() {
+                let key = self.s.wl_current[i] as usize;
+                self.s.wl_pending[key] = false;
+                let changed = match ctx.wl_entities[key] {
                     WlEntity::Proc(pi) => self.recompute_proc(pi as usize, &mut solve.cpu_passes),
                     WlEntity::Can(mi) => self.recompute_can(mi as usize, &mut solve.can_passes),
                     WlEntity::Fifo(mi) => self.recompute_fifo(mi as usize),
-                }
+                };
+                let Some(route) = changed else { continue };
+                let s = &*self.s;
+                for_each_dependent(ctx, s, key, Band::Whole, route, |d| {
+                    debug_assert!(
+                        s.dirty.contains(ctx.wl_entities[d]),
+                        "the dirty cone misses {:?}, which reads {:?}",
+                        ctx.wl_entities[d],
+                        ctx.wl_entities[key],
+                    );
+                    if !s.wl_pending[d] && !next_pending[d] {
+                        next_pending[d] = true;
+                        next.push(d as u32);
+                    }
+                });
             }
             // Next wave: the deferred requeues, in rank order.
             let s = &mut *self.s;
-            s.wl_current.clear();
-            std::mem::swap(&mut s.wl_current, &mut s.wl_next);
+            std::mem::swap(&mut s.wl_current, &mut next);
+            next.clear();
+            std::mem::swap(&mut s.wl_pending, &mut next_pending);
             let rank = &s.wl_rank;
             s.wl_current.sort_unstable_by_key(|&key| rank[key as usize]);
-            std::mem::swap(&mut s.wl_pending, &mut s.wl_next_pending);
         }
         solve.quiescent = self.s.wl_current.is_empty();
+        self.s.wl_next = next;
+        self.s.wl_next_pending = next_pending;
         solve
     }
 
     /// Recomputes one ET process: jitter from the predecessors' current
-    /// values, busy window against the CPU's rank prefix, then requeue the
-    /// dependents whose inputs the result actually changed.
-    fn recompute_proc(&mut self, pi: usize, passes: &mut u64) {
+    /// values, busy window against the CPU's rank prefix. Returns `None`
+    /// when its task-flow entry is unchanged, else whether its offset or
+    /// response moved (what [`solve`](Holistic::solve) requeues on).
+    fn recompute_proc(&mut self, pi: usize, passes: &mut u64) -> Option<bool> {
         let ctx = self.ctx;
         let app = &self.system.application;
         let schedule = self.schedule;
@@ -365,56 +376,13 @@ impl Holistic<'_> {
         t.pr[pi] = t.pj[pi].saturating_add(w).saturating_add(ctx.proc_wcet[pi]);
         let new = build_task_flow(ctx, s, t, pi);
         s.task_arrays[ni][idx] = new;
-        if new == old {
-            return;
-        }
-        // The priority band below on this CPU sees the changed flow in its
-        // interference prefix.
-        let Scratch {
-            node_order,
-            node_pos,
-            dirty,
-            wl_pending,
-            wl_next_pending,
-            wl_next,
-            ..
-        } = s;
-        for q in &node_order[ni][node_pos[pi] + 1..] {
-            let qi = q.index();
-            if dirty.procs[qi] {
-                push(wl_pending, wl_next_pending, wl_next, ctx.wl_key_proc[qi]);
-            }
-        }
-        // Route successors read the offset (earliest availability) and the
-        // response (worst availability / enqueue jitter).
-        if new.response != old.response || new.offset != old.offset {
-            for &q in &ctx.proc_direct_succ[pi] {
-                if dirty.procs[q as usize] {
-                    push(
-                        wl_pending,
-                        wl_next_pending,
-                        wl_next,
-                        ctx.wl_key_proc[q as usize],
-                    );
-                }
-            }
-            for &mi in &ctx.proc_out_et_msgs[pi] {
-                if dirty.can[mi as usize] {
-                    push(
-                        wl_pending,
-                        wl_next_pending,
-                        wl_next,
-                        ctx.wl_key_can[mi as usize],
-                    );
-                }
-            }
-        }
+        (new != old).then_some(new.response != old.response || new.offset != old.offset)
     }
 
     /// Recomputes one CAN leg: enqueue offset/jitter from the sender's
-    /// current state, queuing delay against the bus priority prefix, then
-    /// requeue the dependents the result actually changed.
-    fn recompute_can(&mut self, mi: usize, passes: &mut u64) {
+    /// current state, queuing delay against the bus priority prefix.
+    /// Returns as [`recompute_proc`](Holistic::recompute_proc) does.
+    fn recompute_can(&mut self, mi: usize, passes: &mut u64) -> Option<bool> {
         let ctx = self.ctx;
         let r_transfer = self.system.gateway.transfer_response();
         let k = self.s.can_pos[mi];
@@ -452,50 +420,16 @@ impl Holistic<'_> {
         }
         let new = build_can_flow(ctx, s, t, mi);
         s.can_flows[k] = new;
-        if new == old {
-            return;
-        }
-        let Scratch {
-            can_order,
-            dirty,
-            wl_pending,
-            wl_next_pending,
-            wl_next,
-            ..
-        } = s;
-        // The bus band below sees the changed flow in its prefix.
-        for &mj in &can_order[k + 1..] {
-            if dirty.can[mj] {
-                push(wl_pending, wl_next_pending, wl_next, ctx.wl_key_can[mj]);
-            }
-        }
-        // Route successor: the destination's jitter, or the FIFO leg this
-        // CAN leg feeds.
-        if new.response != old.response || new.offset != old.offset {
-            match ctx.route[mi] {
-                MessageRoute::EtcToTtc => {
-                    if dirty.ttp[mi] {
-                        push(wl_pending, wl_next_pending, wl_next, ctx.wl_key_fifo[mi]);
-                    }
-                }
-                MessageRoute::EtcToEtc | MessageRoute::TtcToEtc => {
-                    let dest = ctx.msg_dest[mi] as usize;
-                    if !ctx.proc_is_tt[dest] && dirty.procs[dest] {
-                        push(wl_pending, wl_next_pending, wl_next, ctx.wl_key_proc[dest]);
-                    }
-                }
-                // mcs-lint: allow(panic-policy) -- TTC-to-TTC legs never become worklist entities (wl_entities skips them)
-                MessageRoute::TtcToTtc => unreachable!("no worklist entity"),
-            }
-        }
+        (new != old).then_some(new.response != old.response || new.offset != old.offset)
     }
 
     /// Recomputes one `Out_TTP` FIFO leg: enqueue jitter from the CAN leg's
-    /// current response, FIFO delay and backlog, then requeue the legs
-    /// drained after it if the result changed. (The leg's arrival bounds a
-    /// TT release — an input of the *outer* schedule↔analysis fixed point,
-    /// re-derived by the trajectory replay, not by this engine.)
-    fn recompute_fifo(&mut self, mi: usize) {
+    /// current response, FIFO delay and backlog. Returns as
+    /// [`recompute_proc`](Holistic::recompute_proc) does (a FIFO leg has no
+    /// route successors in the engine: its arrival bounds a TT release —
+    /// an input of the *outer* schedule↔analysis fixed point, re-derived by
+    /// the trajectory replay).
+    fn recompute_fifo(&mut self, mi: usize) -> Option<bool> {
         let ctx = self.ctx;
         let r_transfer = self.system.gateway.transfer_response();
         let k = ctx.fifo_pos[mi];
@@ -541,24 +475,7 @@ impl Holistic<'_> {
         t.arrival[mi] = t.ttp_o[mi].saturating_add(t.ttp_r[mi]);
         let new = build_fifo_flow(ctx, s, t, mi);
         s.fifo_flows[k] = new;
-        if new == old {
-            return;
-        }
-        // The FIFO drains in CAN-priority order: every leg drained after
-        // this one (higher rank) counts it among the bytes queued ahead.
-        let Scratch {
-            dirty,
-            wl_pending,
-            wl_next_pending,
-            wl_next,
-            fifo_flows,
-            ..
-        } = s;
-        for (j, &mj) in ctx.fifo_ids.iter().enumerate() {
-            if j != k && fifo_flows[j].rank > new.rank && dirty.ttp[mj] {
-                push(wl_pending, wl_next_pending, wl_next, ctx.wl_key_fifo[mj]);
-            }
-        }
+        (new != old).then_some(new.response != old.response || new.offset != old.offset)
     }
 
     /// Stages the kernel input arrays from the current timing state: the
@@ -727,24 +644,14 @@ impl Holistic<'_> {
     }
 }
 
-/// Requeues the dependent `key` after one of its inputs changed: a no-op
-/// when it is still pending later in the current wave (it will read the
-/// fresh arrays when visited), otherwise enqueued for the next wave, once.
-fn push(pending: &[bool], next_pending: &mut [bool], next: &mut Vec<u32>, key: u32) {
-    debug_assert_ne!(key, u32::MAX, "dependent without a worklist entity");
-    if !pending[key as usize] && !next_pending[key as usize] {
-        next_pending[key as usize] = true;
-        next.push(key);
-    }
-}
-
 /// Computes the worklist visiting order of the current priority assignment
 /// into `Scratch::wl_order` (keys by rank) and `Scratch::wl_rank` (rank by
-/// key): Kahn's algorithm over the graph of [`for_each_dependent`], with a
-/// FIFO queue seeded in static key order. When the queue runs dry before
-/// every key is ordered (a cycle), the smallest unordered static key is
-/// released. `wl_order` doubles as the queue — a key is ranked when it is
-/// queued — so after warm-up the sort allocates nothing.
+/// key): Kahn's algorithm over the graph of [`for_each_dependent`], each
+/// priority band walked as its chain, with a FIFO queue seeded in static
+/// key order. When the queue runs dry before every key is ordered (a
+/// cycle), the smallest unordered static key is released. `wl_order`
+/// doubles as the queue — a key is ranked when it is queued — so after
+/// warm-up the sort allocates nothing.
 ///
 /// Requires the priority-sorted tables (`node_order`, `node_pos`,
 /// `can_order`, `can_pos`) of the configuration being evaluated.
@@ -756,7 +663,7 @@ pub(crate) fn order_worklist(ctx: &SystemContext, s: &mut Scratch) {
     indegree.clear();
     indegree.resize(n, 0);
     for key in 0..n {
-        for_each_dependent(ctx, s, key, |d| indegree[d] += 1);
+        for_each_dependent(ctx, s, key, Band::Next, true, |d| indegree[d] += 1);
     }
     rank.clear();
     rank.resize(n, u32::MAX);
@@ -779,7 +686,7 @@ pub(crate) fn order_worklist(ctx: &SystemContext, s: &mut Scratch) {
         }
         let key = order[head] as usize;
         head += 1;
-        for_each_dependent(ctx, s, key, |d| {
+        for_each_dependent(ctx, s, key, Band::Next, true, |d| {
             indegree[d] -= 1;
             if indegree[d] == 0 && rank[d] == u32::MAX {
                 rank[d] = order.len() as u32;
@@ -792,51 +699,93 @@ pub(crate) fn order_worklist(ctx: &SystemContext, s: &mut Scratch) {
     s.wl_indegree = indegree;
 }
 
-/// Calls `f` with every worklist key the engine may requeue when entity
-/// `key` changes, under the current priority assignment — except that each
-/// priority band is reduced to its next lower priority on the resource: the
-/// band is the transitive closure of that chain, so it orders a sort
-/// exactly like the whole band does.
-fn for_each_dependent(ctx: &SystemContext, s: &Scratch, key: usize, mut f: impl FnMut(usize)) {
+/// How much of a priority band [`for_each_dependent`] yields.
+#[derive(Clone, Copy)]
+pub(crate) enum Band {
+    /// Only the next lower priority on the resource: a chain whose
+    /// transitive closure is the band, so a sort or a closure over it
+    /// reaches what the whole band reaches.
+    Next,
+    /// Every lower priority on the resource.
+    Whole,
+}
+
+/// The entity-dependency graph of the holistic fixed point, stated once:
+/// calls `f` with the worklist key of every entity that reads a result of
+/// entity `key` under the current priority assignment. Its walkers are
+/// [`order_worklist`] (the visiting order),
+/// [`close_dirty`](crate::delta::close_dirty) (the dirty cone of a move)
+/// and the requeues of [`Holistic::solve`], so a new input of an entity is
+/// an edge here and nowhere else.
+///
+/// * **Priority bands.** The lower-priority processes on an ET process's
+///   CPU, and the lower-priority legs on a CAN leg's bus, hold it in their
+///   interference prefix. A FIFO leg's band is the FIFO legs drained after
+///   it: `Out_TTP` drains in CAN-priority order, and they count it among
+///   the bytes queued ahead. `band` picks the whole band or its chain.
+/// * **Route successors**, with `route`. A process's offset and response
+///   feed the availability of its direct (message-free) ET successors and
+///   the enqueue offset and jitter of the CAN legs it sources. A CAN leg's
+///   feed the enqueue jitter of its FIFO leg (ETC→TTC) or the availability
+///   of its ET destination. A FIFO leg has none here: its arrival bounds a
+///   TT release, an input of the outer schedule↔analysis loop that the
+///   trajectory replay re-derives.
+///
+/// Requires the priority-sorted tables (`node_order`, `node_pos`,
+/// `can_order`, `can_pos`) of the configuration being evaluated.
+pub(crate) fn for_each_dependent(
+    ctx: &SystemContext,
+    s: &Scratch,
+    key: usize,
+    band: Band,
+    route: bool,
+    mut f: impl FnMut(usize),
+) {
+    let band_len = match band {
+        Band::Next => 1,
+        Band::Whole => usize::MAX,
+    };
     match ctx.wl_entities[key] {
         WlEntity::Proc(pi) => {
             let pi = pi as usize;
             if let Some(ni) = ctx.proc_et_node[pi] {
-                if let Some(q) = s.node_order[ni as usize].get(s.node_pos[pi] + 1) {
+                let lower = &s.node_order[ni as usize][s.node_pos[pi] + 1..];
+                for q in lower.iter().take(band_len) {
                     f(ctx.wl_key_proc[q.index()] as usize);
                 }
             }
-            for &q in &ctx.proc_direct_succ[pi] {
-                f(ctx.wl_key_proc[q as usize] as usize);
-            }
-            for &mi in &ctx.proc_out_et_msgs[pi] {
-                f(ctx.wl_key_can[mi as usize] as usize);
+            if route {
+                for &q in &ctx.proc_direct_succ[pi] {
+                    f(ctx.wl_key_proc[q as usize] as usize);
+                }
+                for &mi in &ctx.proc_out_et_msgs[pi] {
+                    f(ctx.wl_key_can[mi as usize] as usize);
+                }
             }
         }
         WlEntity::Can(mi) => {
             let mi = mi as usize;
-            if let Some(&mj) = s.can_order.get(s.can_pos[mi] + 1) {
+            for &mj in s.can_order[s.can_pos[mi] + 1..].iter().take(band_len) {
                 f(ctx.wl_key_can[mj] as usize);
             }
-            match ctx.route[mi] {
-                MessageRoute::EtcToTtc => f(ctx.wl_key_fifo[mi] as usize),
-                MessageRoute::EtcToEtc | MessageRoute::TtcToEtc => {
-                    let dest = ctx.msg_dest[mi] as usize;
-                    if !ctx.proc_is_tt[dest] {
-                        f(ctx.wl_key_proc[dest] as usize);
+            if route {
+                match ctx.route[mi] {
+                    MessageRoute::EtcToTtc => f(ctx.wl_key_fifo[mi] as usize),
+                    MessageRoute::EtcToEtc | MessageRoute::TtcToEtc => {
+                        let dest = ctx.msg_dest[mi] as usize;
+                        if !ctx.proc_is_tt[dest] {
+                            f(ctx.wl_key_proc[dest] as usize);
+                        }
                     }
+                    MessageRoute::TtcToTtc => {}
                 }
-                MessageRoute::TtcToTtc => {}
             }
         }
         WlEntity::Fifo(mi) => {
-            // The FIFO drains in CAN-priority order: the next FIFO leg on
-            // the bus is the next one drained.
-            let later = &s.can_order[s.can_pos[mi as usize] + 1..];
-            if let Some(&mj) = later
-                .iter()
-                .find(|&&mj| matches!(ctx.route[mj], MessageRoute::EtcToTtc))
-            {
+            let later = s.can_order[s.can_pos[mi as usize] + 1..].iter();
+            let drained_after =
+                later.filter(|&&mj| matches!(ctx.route[mj], MessageRoute::EtcToTtc));
+            for &mj in drained_after.take(band_len) {
                 f(ctx.wl_key_fifo[mj] as usize);
             }
         }
@@ -1004,7 +953,7 @@ fn build_task_flow(ctx: &SystemContext, s: &Scratch, t: &Timing, pi: usize) -> T
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::{BTreeMap, HashMap};
 
     use mcs_gen::{generate, GeneratorParams};
@@ -1020,7 +969,7 @@ mod tests {
     /// A valid ψ built without the optimizer: one slot per TTP node, sized
     /// to the largest frame it sends, and unique by-id priorities per ET
     /// CPU and on the bus.
-    fn plain_config(system: &System) -> SystemConfig {
+    pub(crate) fn plain_config(system: &System) -> SystemConfig {
         let app = &system.application;
         let arch = &system.architecture;
         let mut capacity: HashMap<NodeId, u32> = HashMap::new();
@@ -1194,6 +1143,26 @@ mod tests {
             !cut.converged,
             "a one-wave pass reported convergence: {cut:?}"
         );
+    }
+
+    /// Zero outer iterations act as one: the evaluation analyzes the first
+    /// schedule instead of reading an empty schedule memo.
+    #[test]
+    fn zero_outer_iterations_act_as_one() {
+        let system = generate(&GeneratorParams::paper_sized(2, 0));
+        let config = plain_config(&system);
+        let evaluate = |max_outer_iterations| {
+            let params = AnalysisParams {
+                max_outer_iterations,
+                ..AnalysisParams::default()
+            };
+            let mut evaluator = Evaluator::new(&system, params);
+            let summary = evaluator.evaluate(&config);
+            results(&evaluator, summary)
+        };
+        let one = evaluate(1);
+        assert!(one.is_ok(), "{one:?}");
+        assert_eq!(evaluate(0), one);
     }
 
     proptest! {

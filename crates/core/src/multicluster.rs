@@ -50,7 +50,8 @@ pub struct AnalysisParams {
     /// when the final outer iteration's pass does, the evaluation reports
     /// `converged: false`.
     pub max_holistic_iterations: u32,
-    /// Cap on outer (schedule ↔ analysis) iterations.
+    /// Cap on outer (schedule ↔ analysis) iterations. At least one always
+    /// runs: 0 acts as 1.
     pub max_outer_iterations: u32,
     /// Bound used for the gateway `Out_TTP` FIFO.
     pub fifo_bound: FifoBound,
