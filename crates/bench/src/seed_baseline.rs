@@ -3,10 +3,11 @@
 //! `evaluate` call rebuilds all derived tables, reallocates every
 //! fixed-point vector and cold-starts every kernel fixed point — exactly
 //! what the synthesis loops paid per move before the reusable
-//! [`mcs_core::Evaluator`] existed. The `evaluator_reuse` bench measures
-//! the reused evaluator against this baseline; the equivalence of their
-//! results is asserted by a test below and by the property tests in
-//! `mcs-opt`.
+//! [`mcs_core::Evaluator`] existed. It keeps its own copy of the outer
+//! loop and of the holistic analysis, and none of the evaluator's tables,
+//! memos or shortcuts, so it is the frozen correctness oracle of every
+//! live evaluation path: `tests/evaluation_paths.rs` checks each of them
+//! against it at every step of its seeded walks.
 //!
 //! The TTC list scheduler is frozen here too ([`seed_list_schedule`]), so
 //! this oracle stays independent of the live `mcs_ttp` scheduler it is
@@ -987,42 +988,6 @@ impl<'a> Holistic<'a> {
             message,
             queues,
             converged: !self.diverged,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mcs_core::Evaluator;
-    use mcs_gen::{generate, GeneratorParams};
-    use mcs_opt::{hopa_priorities, straightforward_config};
-
-    /// The reused evaluator must reproduce the seed implementation's
-    /// results bit-for-bit (δΓ, s_total, timings, queue bounds, schedule).
-    #[test]
-    fn seed_and_reused_evaluator_agree() {
-        let params = AnalysisParams::default();
-        for seed in [3u64, 17] {
-            let system = generate(&GeneratorParams::paper_sized(2, seed));
-            let mut config = straightforward_config(&system);
-            config.priorities = hopa_priorities(&system, &config.tdma);
-            let (degree, buffers, outcome) =
-                seed_evaluate(&system, config.clone(), &params).expect("analyzable");
-            let mut evaluator = Evaluator::new(&system, params);
-            // Evaluate twice: the second run exercises the warm caches.
-            evaluator.evaluate(&config).expect("analyzable");
-            let summary = evaluator.evaluate(&config).expect("analyzable");
-            assert_eq!(summary.degree, degree);
-            assert_eq!(summary.total_buffers, buffers);
-            let new_outcome = evaluator.outcome();
-            assert_eq!(new_outcome.schedule, outcome.schedule);
-            assert_eq!(new_outcome.process_timing, outcome.process_timing);
-            assert_eq!(new_outcome.message_timing, outcome.message_timing);
-            assert_eq!(new_outcome.queues, outcome.queues);
-            assert_eq!(new_outcome.graph_response, outcome.graph_response);
-            assert_eq!(new_outcome.converged, outcome.converged);
-            assert_eq!(new_outcome.iterations, outcome.iterations);
         }
     }
 }

@@ -33,11 +33,12 @@
 //!
 //! # Determinism: bit-identical to sequential delta evaluation
 //!
-//! The contract — CI-enforced by the `batch_equivalence` suite like every
-//! prior layer — is that `evaluate_batch` returns **bit-identical** results
-//! to N sequential [`Evaluator::evaluate_delta`] calls made from the same
-//! base state: same summaries (δΓ, `s_total`, convergence metadata) and
-//! same infeasibility verdicts. This holds because a lane evaluates each
+//! The contract — checked, with every other evaluation path, at every step
+//! of `mcs-bench`'s `evaluation_paths` harness — is that `evaluate_batch`
+//! returns **bit-identical** results to N sequential
+//! [`Evaluator::evaluate_delta`] calls made from the same base state: same
+//! summaries (δΓ, `s_total`, convergence metadata) and same infeasibility
+//! verdicts. This holds because a lane evaluates each
 //! delta candidate against the same base fixed point a sequential call
 //! would extend, the delta path itself is bit-identical to the full fixed
 //! point, and a full evaluation depends on its configuration alone. So no

@@ -53,9 +53,9 @@
 //!   slots — falls back to the full fixed point of that iteration.
 //!
 //! Results are **bit-identical** to [`Evaluator::evaluate`] by
-//! construction; the equivalence is enforced by property tests in
-//! `crates/opt/tests/` and against the frozen seed implementation in
-//! `mcs-bench`.
+//! construction. `mcs-bench`'s `evaluation_paths` harness checks that, and
+//! the batch path and a carried evaluator, against a fresh evaluation and
+//! the frozen seed implementation at every step of its seeded walks.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -586,6 +586,16 @@ pub struct EvalSummary {
 /// construction (a batch folds in its lanes' counts; see
 /// [`Evaluator::evaluate_batch`]). They count the same work on every host
 /// and thread count, so tests can pin them.
+///
+/// Over one successful call:
+///
+/// * `schedule_hits + schedule_diffs + schedule_rebuilds` equals the outer
+///   iterations ([`EvalSummary::iterations`]): each iteration hits the
+///   schedule memo, or rebuilds its schedule with or without a diff;
+/// * `delta_passes + full_passes` lies in `1..=iterations`: the first
+///   iteration always runs a holistic pass, and an iteration whose schedule
+///   equals the previous one's inherits its timing without one;
+/// * [`evaluate`](Evaluator::evaluate) takes no delta pass and no diff.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalProfile {
     /// Holistic passes served by the restricted dirty-cone analysis.

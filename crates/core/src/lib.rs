@@ -115,7 +115,7 @@ pub use queues::{
     fifo_blocking, fifo_delay, fifo_delay_from, fifo_delay_occurrence, fifo_size_bound, FifoDelay,
     FifoFlow, TtpQueueParams,
 };
-pub use report::{json_line, render_report, JsonField, JsonLinesWriter};
+pub use report::{json_line, JsonField, JsonLinesWriter};
 pub use rta::{
     interference_delay, interference_delay_from, interference_delay_sorted, interference_delays,
     TaskFlow,

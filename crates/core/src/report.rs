@@ -1,123 +1,8 @@
-//! Rendering of analysis results: a human-readable report for an
-//! [`AnalysisOutcome`] ([`render_report`]) and a minimal JSON-lines
-//! encoder ([`json_line`], [`JsonLinesWriter`]) for stable
-//! machine-readable experiment records.
+//! A minimal JSON-lines encoder ([`json_line`], [`JsonLinesWriter`]) for
+//! stable machine-readable experiment records.
 
 use std::fmt::Write as _;
 use std::io;
-
-use mcs_model::{MessageRoute, System};
-
-use crate::outcome::AnalysisOutcome;
-use crate::schedulability::degree_of_schedulability;
-
-/// Renders a complete analysis report.
-///
-/// # Examples
-///
-/// The output has the shape:
-///
-/// ```text
-/// schedulable: true (slack -30000 ticks over 1 graph)
-/// == graphs ==
-///   G1    r_G =  210ms  D =  240ms  [met]
-/// == processes ==
-///   P1    N1  O=    0ms J=    0ms w=    0ms r=   30ms
-/// == gateway-crossing messages ==
-///   m0    TtcToEtc  arrival  115ms
-/// == queue bounds ==
-///   Out_CAN 8 B | Out_TTP 4 B | total 16 B
-/// ```
-pub fn render_report(system: &System, outcome: &AnalysisOutcome) -> String {
-    let mut out = String::new();
-    let app = &system.application;
-    let degree = degree_of_schedulability(system, outcome);
-    let _ = writeln!(
-        out,
-        "schedulable: {} (δΓ cost {} over {} graph{})",
-        degree.is_schedulable(),
-        degree.cost(),
-        app.graphs().len(),
-        if app.graphs().len() == 1 { "" } else { "s" },
-    );
-
-    let _ = writeln!(out, "== graphs ==");
-    for graph in app.graphs() {
-        let r = outcome.graph_response(graph.id());
-        let d = graph.deadline();
-        let _ = writeln!(
-            out,
-            "  {:<12} r_G = {:>9}  D = {:>9}  [{}]",
-            graph.name(),
-            r.to_string(),
-            d.to_string(),
-            if r <= d { "met" } else { "MISSED" }
-        );
-    }
-
-    let _ = writeln!(out, "== processes ==");
-    for p in app.processes() {
-        let t = outcome.process_timing(p.id());
-        let _ = writeln!(
-            out,
-            "  {:<16} {:<8} O={:>9} J={:>9} w={:>9} r={:>9}",
-            p.name(),
-            system.architecture.node(p.node()).name(),
-            t.offset.to_string(),
-            t.jitter.to_string(),
-            t.delay.to_string(),
-            t.response.to_string()
-        );
-    }
-
-    let crossing: Vec<_> = app
-        .messages()
-        .iter()
-        .filter(|m| system.route(m.id()).crosses_gateway())
-        .collect();
-    if !crossing.is_empty() {
-        let _ = writeln!(out, "== gateway-crossing messages ==");
-        for m in crossing {
-            let timing = &outcome.message_timing[&m.id()];
-            let route = system.route(m.id());
-            let direction = match route {
-                MessageRoute::TtcToEtc => "TTC->ETC",
-                MessageRoute::EtcToTtc => "ETC->TTC",
-                // mcs-lint: allow(panic-policy) -- the iterator above filters to gateway-crossing routes
-                _ => unreachable!("filtered to gateway-crossing routes"),
-            };
-            let _ = writeln!(
-                out,
-                "  {:<8} {}  {} -> {}  arrival {:>9}",
-                m.name(),
-                direction,
-                app.process(m.source()).name(),
-                app.process(m.dest()).name(),
-                timing.arrival.to_string()
-            );
-        }
-    }
-
-    let q = &outcome.queues;
-    let _ = writeln!(out, "== queue bounds ==");
-    let mut nodes: Vec<_> = q.out_node.iter().collect();
-    nodes.sort();
-    let per_node = nodes
-        .iter()
-        .map(|(n, b)| format!("Out_{} {} B", system.architecture.node(**n).name(), b))
-        .collect::<Vec<_>>()
-        .join(" | ");
-    let _ = writeln!(
-        out,
-        "  Out_CAN {} B | Out_TTP {} B{}{} | total {} B",
-        q.out_can,
-        q.out_ttp,
-        if per_node.is_empty() { "" } else { " | " },
-        per_node,
-        q.total()
-    );
-    out
-}
 
 /// One typed value of a [`json_line`] record.
 #[derive(Clone, Copy, Debug)]
@@ -258,53 +143,6 @@ impl<W: io::Write> JsonLinesWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multicluster::{multi_cluster_scheduling, AnalysisParams};
-    use mcs_model::{
-        Application, Architecture, MessageId, NodeRole, Priority, PriorityAssignment, SystemConfig,
-        TdmaConfig, TdmaSlot, Time,
-    };
-
-    #[test]
-    fn report_mentions_every_section() {
-        let mut b = Architecture::builder();
-        let n1 = b.add_node("N1", NodeRole::TimeTriggered);
-        let n2 = b.add_node("N2", NodeRole::EventTriggered);
-        let ng = b.add_node("NG", NodeRole::Gateway);
-        let arch = b.build().expect("valid");
-        let mut ab = Application::builder();
-        let g = ab.add_graph("loop", Time::from_millis(100), Time::from_millis(100));
-        let a = ab.add_process(g, "produce", n1, Time::from_millis(5));
-        let c = ab.add_process(g, "consume", n2, Time::from_millis(5));
-        ab.link(a, c, 8);
-        let app = ab.build(&arch).expect("valid");
-        let system = System::new(app, arch);
-        let mut pri = PriorityAssignment::new();
-        pri.set_process(c, Priority::new(0));
-        pri.set_message(MessageId::new(0), Priority::new(0));
-        let config = SystemConfig::new(
-            TdmaConfig::new(vec![
-                TdmaSlot {
-                    node: ng,
-                    capacity_bytes: 8,
-                },
-                TdmaSlot {
-                    node: n1,
-                    capacity_bytes: 8,
-                },
-            ]),
-            pri,
-        );
-        let outcome =
-            multi_cluster_scheduling(&system, &config, &AnalysisParams::default()).expect("ok");
-        let report = render_report(&system, &outcome);
-        assert!(report.contains("schedulable: true"));
-        assert!(report.contains("== graphs =="));
-        assert!(report.contains("loop"));
-        assert!(report.contains("produce"));
-        assert!(report.contains("TTC->ETC"));
-        assert!(report.contains("Out_CAN"));
-        assert!(report.contains("total"));
-    }
 
     #[test]
     fn json_lines_are_escaped_ordered_and_newline_free() {

@@ -334,6 +334,9 @@ pub enum SynthesisError {
         /// Total points the checkpoint carried.
         expected: usize,
     },
+    /// [`Synthesis::run`] was called without a
+    /// [`strategy`](Synthesis::strategy).
+    MissingStrategy,
 }
 
 impl std::fmt::Display for SynthesisError {
@@ -349,6 +352,9 @@ impl std::fmt::Display for SynthesisError {
                  checkpoint incumbents; strategy, parameters and system must match the \
                  interrupted run exactly"
             ),
+            SynthesisError::MissingStrategy => {
+                write!(f, "no strategy was set; call .strategy(...) before .run()")
+            }
         }
     }
 }
@@ -891,16 +897,13 @@ impl<'s, 'a> Synthesis<'s, 'a> {
     ///
     /// [`SynthesisError::Analysis`] if the strategy aborted on an
     /// unrecoverable analysis failure, [`SynthesisError::NoIncumbent`] if
-    /// it finished (or was cancelled) before recording any incumbent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no strategy was set.
+    /// it finished (or was cancelled) before recording any incumbent,
+    /// [`SynthesisError::MissingStrategy`] if no strategy was set.
     pub fn run(mut self) -> Result<SynthesisReport, SynthesisError> {
         let mut strategy = self
             .strategy
             .take()
-            .expect("Synthesis::run requires a strategy; call .strategy(...) first");
+            .ok_or(SynthesisError::MissingStrategy)?;
         let mut evaluator = Evaluator::new(self.system, self.analysis);
         let mut ctx = SearchCtx {
             evaluator: &mut evaluator,
@@ -1112,11 +1115,12 @@ mod tests {
     }
 
     #[test]
-    fn missing_strategy_panics_with_a_clear_message() {
+    fn missing_strategy_is_an_error() {
         let fig = figure4(Time::from_millis(240));
-        let result = std::panic::catch_unwind(|| {
-            let _ = Synthesis::builder(&fig.system).run();
-        });
-        assert!(result.is_err());
+        let result = Synthesis::builder(&fig.system).run();
+        assert!(
+            matches!(result, Err(SynthesisError::MissingStrategy)),
+            "{result:?}"
+        );
     }
 }

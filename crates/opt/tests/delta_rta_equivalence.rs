@@ -1,21 +1,18 @@
-//! The delta-RTA contract: interleaved [`Evaluator::evaluate_delta`] calls
-//! must produce **bit-identical** results to a fresh full evaluation after
-//! every move — δΓ, `s_total`, every per-entity timing, every queue bound,
-//! the schedule tables and the convergence metadata — across generated
-//! systems, random move sequences and random accept/reject decisions
-//! (rejections exercise the seed accumulation across reverted moves).
-//!
-//! This is what licenses the dependency closure of `mcs_core::delta`: a
-//! clean entity it fails to mark would silently drift the delta path away
-//! from the full fixed point, and this suite would catch it.
+//! Directed and pinned tests of the delta path. The walk-based contract —
+//! every evaluation path bit-identical to a fresh evaluation and to the
+//! frozen seed oracle after every move — is checked by
+//! `crates/bench/tests/evaluation_paths.rs`. The tests here pin what a
+//! random walk rarely reaches or cannot state: the fallback for a priority
+//! change that is not a permutation, the delta base a rejected
+//! configuration leaves in place, the hand-built multi-rate Figure 4
+//! scenario, and the work split of a recorded Fig-9c SA trace.
 
-use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use mcs_core::{
     AnalysisError, AnalysisOutcome, AnalysisParams, DeltaSeeds, EvalProfile, EvalSummary, Evaluator,
 };
-use mcs_gen::{generate, GeneratorParams, PeriodMultipliers};
+use mcs_gen::{figure4_multirate, generate, GeneratorParams, PeriodMultipliers};
 use mcs_model::{MessageRoute, System, SystemConfig};
 use mcs_opt::{
     evaluate, hopa_priorities, neighborhood, sa_start, straightforward_config, Move, MoveSampler,
@@ -28,85 +25,6 @@ fn small_system(seed: u64) -> mcs_model::System {
     p.graphs = 4;
     p.inter_cluster_messages = Some(3);
     generate(&p)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Walk a random move sequence with random accept/reject decisions.
-    /// The delta evaluator accumulates seeds exactly like the search loops
-    /// do: record the move's seeds on apply, clear them after a successful
-    /// evaluation, record the undo's seeds when reverting a rejected or
-    /// infeasible candidate. After every evaluation, the delta evaluator
-    /// must agree with a fresh full evaluation down to the last bit.
-    #[test]
-    fn delta_evaluation_matches_fresh_evaluation(
-        seed in 0u64..500,
-        picks in proptest::collection::vec((0usize..1_000, any::<bool>()), 1..8),
-    ) {
-        let system = small_system(seed);
-        let analysis = AnalysisParams::default();
-        let mut config = straightforward_config(&system);
-        config.priorities = hopa_priorities(&system, &config.tdma);
-
-        let mut delta = Evaluator::new(&system, analysis);
-        let mut seeds = DeltaSeeds::new();
-        let mut current = evaluate(&system, config.clone(), &analysis).expect("analyzable");
-        delta.evaluate(&config).expect("analyzable");
-        for &(pick, accept) in &picks {
-            let moves = neighborhood(&system, &current);
-            prop_assume!(!moves.is_empty());
-            let mv = moves[pick % moves.len()];
-            let undo = mv.apply_undoable_seeded(&mut config, &mut seeds);
-
-            let fresh = evaluate(&system, config.clone(), &analysis);
-            let warm = delta.evaluate_delta(&config, &seeds);
-            match (fresh, warm) {
-                (Ok(fresh), Ok(summary)) => {
-                    seeds.clear();
-                    prop_assert_eq!(summary.degree, fresh.degree);
-                    prop_assert_eq!(summary.total_buffers, fresh.total_buffers);
-                    prop_assert_eq!(summary.converged, fresh.outcome.converged);
-                    prop_assert_eq!(summary.iterations, fresh.outcome.iterations);
-                    let outcome = delta.outcome();
-                    prop_assert_eq!(&outcome.schedule, &fresh.outcome.schedule);
-                    prop_assert_eq!(&outcome.process_timing, &fresh.outcome.process_timing);
-                    prop_assert_eq!(&outcome.message_timing, &fresh.outcome.message_timing);
-                    prop_assert_eq!(&outcome.queues, &fresh.outcome.queues);
-                    prop_assert_eq!(&outcome.graph_response, &fresh.outcome.graph_response);
-                    if accept {
-                        current = fresh;
-                        continue;
-                    }
-                }
-                (Err(fresh), Err(warm)) => prop_assert_eq!(fresh, warm),
-                (fresh, warm) => prop_assert!(
-                    false,
-                    "feasibility disagreement on {:?}: fresh {:?} vs delta {:?}", mv, fresh, warm
-                ),
-            }
-            // Rejected or infeasible: revert in place, keeping the seeds
-            // covering the distance to the evaluator's last analysis.
-            undo.record_seeds(&mut seeds);
-            undo.revert(&mut config);
-        }
-    }
-
-    /// Re-evaluating the same configuration through the delta path (empty
-    /// seed set) is a fixed point: summaries are identical call to call.
-    #[test]
-    fn repeated_delta_evaluation_is_stable(seed in 0u64..200) {
-        let system = small_system(seed);
-        let analysis = AnalysisParams::default();
-        let mut config = straightforward_config(&system);
-        config.priorities = hopa_priorities(&system, &config.tdma);
-        let mut evaluator = Evaluator::new(&system, analysis);
-        let first = evaluator.evaluate(&config).expect("analyzable");
-        let seeds = DeltaSeeds::new();
-        for _ in 0..3 {
-            prop_assert_eq!(evaluator.evaluate_delta(&config, &seeds).expect("analyzable"), first);
-        }
-    }
 }
 
 /// Non-permutation priority changes (a process demoted to a *fresh* level
@@ -152,57 +70,6 @@ fn non_permutation_priority_change_falls_back_to_full() {
         assert_eq!(delta.outcome().message_timing, fresh.outcome.message_timing);
         let _ = old;
     }
-}
-
-/// Long deterministic walks over pure priority-swap sequences — the move
-/// family the delta path accelerates — asserting both bit-identity and that
-/// the delta fast path is actually taken (not just falling back).
-#[test]
-fn priority_swap_walk_stays_identical_and_hits_the_delta_path() {
-    let system = small_system(42);
-    let analysis = AnalysisParams::default();
-    let mut config = straightforward_config(&system);
-    config.priorities = hopa_priorities(&system, &config.tdma);
-
-    let mut delta = Evaluator::new(&system, analysis);
-    let mut seeds = DeltaSeeds::new();
-    delta.evaluate(&config).expect("analyzable");
-    let mut current = evaluate(&system, config.clone(), &analysis).expect("analyzable");
-
-    for round in 0..40 {
-        let moves: Vec<_> = neighborhood(&system, &current)
-            .into_iter()
-            .filter(|m| {
-                matches!(
-                    m,
-                    mcs_opt::Move::SwapProcessPriorities(_, _)
-                        | mcs_opt::Move::SwapMessagePriorities(_, _)
-                )
-            })
-            .collect();
-        assert!(!moves.is_empty(), "priority neighborhood must be nonempty");
-        let mv = moves[(round * 7 + 3) % moves.len()];
-        let undo = mv.apply_undoable_seeded(&mut config, &mut seeds);
-        let fresh = evaluate(&system, config.clone(), &analysis).expect("analyzable");
-        let warm = delta.evaluate_delta(&config, &seeds).expect("analyzable");
-        seeds.clear();
-        assert_eq!(warm.degree, fresh.degree, "δΓ drifted at round {round}");
-        assert_eq!(warm.total_buffers, fresh.total_buffers);
-        assert_eq!(warm.iterations, fresh.outcome.iterations);
-        assert_eq!(delta.outcome().process_timing, fresh.outcome.process_timing);
-        assert_eq!(delta.outcome().message_timing, fresh.outcome.message_timing);
-        if round % 3 == 0 {
-            current = fresh; // accept every third move
-        } else {
-            undo.record_seeds(&mut seeds);
-            undo.revert(&mut config);
-        }
-    }
-    let (delta_hits, full) = delta.delta_stats();
-    assert!(
-        delta_hits > 0,
-        "the delta fast path was never taken ({delta_hits} delta vs {full} full)"
-    );
 }
 
 /// A configuration `validate_config` rejects never reaches the analysis, so
@@ -255,6 +122,44 @@ fn a_rejected_configuration_keeps_the_last_analysis_and_delta_base() {
         (fresh.degree, fresh.total_buffers)
     );
     assert_eq!(tables(evaluator.outcome()), tables(fresh.outcome));
+}
+
+/// The hand-built multi-rate Figure 4 scenario: the worklist engine agrees
+/// with the one-shot analysis on every configuration, and a priority-swap
+/// delta between them stays bit-identical.
+#[test]
+fn figure4_multirate_full_and_delta_agree() {
+    let fig = figure4_multirate(mcs_model::Time::from_millis(200));
+    let analysis = AnalysisParams::default();
+    let mut evaluator = Evaluator::new(&fig.system, analysis);
+    for config in [&fig.config_a, &fig.config_b, &fig.config_c] {
+        let summary = evaluator.evaluate(config).expect("analyzable");
+        let oneshot =
+            mcs_core::multi_cluster_scheduling(&fig.system, config, &analysis).expect("analyzable");
+        assert_eq!(summary.converged, oneshot.converged);
+        assert_eq!(evaluator.outcome().process_timing, oneshot.process_timing);
+        assert_eq!(evaluator.outcome().message_timing, oneshot.message_timing);
+        assert_eq!(evaluator.outcome().queues, oneshot.queues);
+    }
+    // (a) → (c) is the worked P2/P3 priority swap: drive it as a delta.
+    evaluator.evaluate(&fig.config_a).expect("analyzable");
+    let mut seeds = DeltaSeeds::new();
+    seeds.push_process(mcs_gen::figure4_ids::P2);
+    seeds.push_process(mcs_gen::figure4_ids::P3);
+    let warm = evaluator
+        .evaluate_delta(&fig.config_c, &seeds)
+        .expect("analyzable");
+    let fresh = evaluate(&fig.system, fig.config_c.clone(), &analysis).expect("analyzable");
+    assert_eq!(warm.degree, fresh.degree);
+    assert_eq!(warm.total_buffers, fresh.total_buffers);
+    assert_eq!(
+        evaluator.outcome().process_timing,
+        fresh.outcome.process_timing
+    );
+    assert_eq!(
+        evaluator.outcome().message_timing,
+        fresh.outcome.message_timing
+    );
 }
 
 /// Samples `len` SAS moves from `start`, each with the Metropolis decision

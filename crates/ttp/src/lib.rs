@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 mod list_scheduler;
-mod render;
 mod rounds;
 mod schedule;
 
@@ -34,6 +33,5 @@ pub use list_scheduler::{
     critical_path_priorities_into, list_schedule, list_schedule_dense_into, DenseSchedulerInput,
     ScheduleError, SchedulerInput,
 };
-pub use render::render_schedule;
 pub use rounds::{RoundSchedule, SlotOccurrence};
 pub use schedule::{FramePlacement, TtcSchedule};
