@@ -132,6 +132,7 @@ fn assert_same(
 fn work(after: EvalProfile, before: EvalProfile) -> EvalProfile {
     EvalProfile {
         delta_passes: after.delta_passes - before.delta_passes,
+        chained_passes: after.chained_passes - before.chained_passes,
         full_passes: after.full_passes - before.full_passes,
         waves: after.waves - before.waves,
         recomputations: after.recomputations - before.recomputations,
@@ -162,10 +163,15 @@ fn assert_profile(
     };
     let iterations = u64::from(report.summary.iterations);
     assert_eq!(memo_outcomes(&w), iterations, "{at}: {path}: memo outcomes");
-    let passes = w.delta_passes + w.full_passes;
+    let passes = w.delta_passes + w.chained_passes + w.full_passes;
     assert!(
         (1..=iterations).contains(&passes),
         "{at}: {path}: {passes} holistic passes over {iterations} outer iterations"
+    );
+    assert!(
+        w.chained_passes < iterations,
+        "{at}: {path}: {} chained passes over {iterations} outer iterations",
+        w.chained_passes
     );
     if full {
         assert_eq!(
@@ -183,6 +189,8 @@ struct Tally {
     families: [usize; NO_OP + 1],
     /// Delta passes of the delta path, per rate class (single, multi).
     delta_passes: [u64; 2],
+    /// Chained passes of the carried and delta paths, per rate class.
+    chained_passes: [u64; 2],
 }
 
 /// One walk's evaluators, configuration and carried seeds.
@@ -220,6 +228,7 @@ impl<'s> Walk<'s> {
         assert_same(at, "the carried evaluate", &got, &want);
         let w = work(self.carried.profile(), before);
         assert_profile(at, "evaluate", &got, w, true);
+        tally.chained_passes[self.rate] += w.chained_passes;
 
         let before = self.delta.profile();
         let got = self.delta.evaluate_delta(config, &self.seeds);
@@ -228,6 +237,7 @@ impl<'s> Walk<'s> {
         let w = work(self.delta.profile(), before);
         assert_profile(at, "evaluate_delta", &got, w, false);
         tally.delta_passes[self.rate] += w.delta_passes;
+        tally.chained_passes[self.rate] += w.chained_passes;
         fresh
     }
 
@@ -414,4 +424,8 @@ fn every_evaluation_path_agrees_along_seeded_walks() {
         passes.iter().all(|&n| n > 0),
         "delta passes per rate: {passes:?}"
     );
+    // Single-rate visiting orders are acyclic, so their later outer
+    // iterations chain.
+    let chained = tally.chained_passes;
+    assert!(chained[0] > 0, "chained passes per rate: {chained:?}");
 }

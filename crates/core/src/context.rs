@@ -52,10 +52,37 @@
 //! * everything else — structural (TDMA) changes, stale/diverged/unstable
 //!   slots — falls back to the full fixed point of that iteration.
 //!
+//! # Chained outer iterations
+//!
+//! Two consecutive outer iterations of one call analyze the same
+//! configuration under schedules that differ only in the placements the
+//! new release bounds moved. So every evaluation, delta or not, seeds each
+//! iteration's holistic pass one of three ways:
+//!
+//! * **full** — every entity from the bottom of the lattice (the first
+//!   iteration of [`Evaluator::evaluate`], and every fallback);
+//! * **delta** — the slot's timing as the previous evaluation left it,
+//!   over the cone of the move's seeds and the schedule diff against the
+//!   slot's old schedule (above);
+//! * **chained** — a later iteration copies the timing its predecessor in
+//!   the same call converged to, stable and undiverged, and re-derives the
+//!   cone of the placements its schedule moved against the predecessor's.
+//!   An iteration whose schedule equals its predecessor's is the empty
+//!   cone: it inherits the timing without a pass.
+//!
+//! Chaining is taken whenever the visiting order is acyclic
+//! (`Scratch::wl_acyclic`), and never otherwise. On an acyclic order a full
+//! pass and a chained pass both converge in one wave, so no wave budget
+//! tells them apart; on a cyclic order the delta or full seeding stays.
+//!
 //! Results are **bit-identical** to [`Evaluator::evaluate`] by
-//! construction. `mcs-bench`'s `evaluation_paths` harness checks that, and
-//! the batch path and a carried evaluator, against a fresh evaluation and
-//! the frozen seed implementation at every step of its seeded walks.
+//! construction while no full pass stops at the wave budget
+//! ([`AnalysisParams::max_holistic_iterations`]): a restricted pass can
+//! converge where the full pass it replaces stops short, and the two then
+//! return different bounds. `mcs-bench`'s `evaluation_paths` harness checks
+//! bit-identity, and the batch path and a carried evaluator, against a
+//! fresh evaluation and the frozen seed implementation at every step of its
+//! seeded walks.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -459,6 +486,12 @@ pub(crate) struct Scratch {
     pub wl_rank: Vec<u32>,
     /// Per-key count of unranked predecessors while the order is sorted.
     pub wl_indegree: Vec<u32>,
+    /// Whether the visiting order is a topological order of the whole
+    /// dependency graph: [`order_worklist`] released no key to break a
+    /// cycle. A full pass then converges in one wave, and so does a
+    /// restricted pass over any closed cone — which lets an outer iteration
+    /// chain onto its predecessor (see the module docs).
+    pub wl_acyclic: bool,
     // The live kernel input arrays, maintained incrementally by the
     // worklist engine: an entity's entry is refreshed by its own
     // recomputation, so a kernel always reads its peers' latest values.
@@ -487,14 +520,14 @@ impl Scratch {
     /// before writing it, into `self`'s existing buffers. Batch lanes use
     /// this (with [`SchedCacheEntry::sync_from`] for the per-iteration
     /// timing) to mirror the primary evaluator's converged state before
-    /// re-climbing their candidate's divergent tail. The visiting order is
-    /// copied with the other priority tables: a lane that skips the table
-    /// rebuild (its configuration is the mirrored one) reads it. Per-pass
-    /// state is skipped, because each pass resets it before reading: the
-    /// dirty set (`close_dirty`/`mark_all`), the worklist (`solve`), the
-    /// order's in-degree buffer (`order_worklist`), the kernel input arrays
-    /// (`stage_kernel_inputs`, for every resource the pass visits) and the
-    /// queue-bound buffers (`priority_queue_bound`).
+    /// re-climbing their candidate's divergent tail. The visiting order and
+    /// whether it is acyclic are copied with the other priority tables: a
+    /// lane that skips the table rebuild (its configuration is the mirrored
+    /// one) reads them. Per-pass state is skipped, because each pass resets
+    /// it before reading: the dirty set (`close_dirty`/`mark_all`), the
+    /// worklist (`solve`), the order's in-degree buffer (`order_worklist`),
+    /// the kernel input arrays (`stage_kernel_inputs`, for every resource
+    /// the pass visits) and the queue-bound buffers (`priority_queue_bound`).
     pub(crate) fn sync_from(&mut self, src: &Scratch) {
         self.msg_priority.clone_from(&src.msg_priority);
         self.proc_priority.clone_from(&src.proc_priority);
@@ -505,6 +538,7 @@ impl Scratch {
         self.node_pos.clone_from(&src.node_pos);
         self.wl_order.clone_from(&src.wl_order);
         self.wl_rank.clone_from(&src.wl_rank);
+        self.wl_acyclic = src.wl_acyclic;
         self.proc_release.clone_from(&src.proc_release);
         self.msg_release.clone_from(&src.msg_release);
         self.next_proc_release.clone_from(&src.next_proc_release);
@@ -587,23 +621,36 @@ pub struct EvalSummary {
 /// [`Evaluator::evaluate_batch`]). They count the same work on every host
 /// and thread count, so tests can pin them.
 ///
-/// Over one successful call:
+/// Each outer iteration's holistic pass is seeded one of three ways: in
+/// full, as a *delta* pass extending the timing the previous evaluation
+/// left in the iteration's memo slot, or as a *chained* pass extending the
+/// timing the previous outer iteration of the same call converged to. Over
+/// one successful call:
 ///
 /// * `schedule_hits + schedule_diffs + schedule_rebuilds` equals the outer
 ///   iterations ([`EvalSummary::iterations`]): each iteration hits the
 ///   schedule memo, or rebuilds its schedule with or without a diff;
-/// * `delta_passes + full_passes` lies in `1..=iterations`: the first
-///   iteration always runs a holistic pass, and an iteration whose schedule
-///   equals the previous one's inherits its timing without one;
+/// * `delta_passes + chained_passes + full_passes` lies in
+///   `1..=iterations`: the first iteration always runs a holistic pass, and
+///   an iteration whose schedule equals the previous one's inherits its
+///   timing without one;
+/// * `chained_passes` is at most `iterations − 1`: the first iteration has
+///   no predecessor to chain onto;
 /// * [`evaluate`](Evaluator::evaluate) takes no delta pass and no diff.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalProfile {
-    /// Holistic passes served by the restricted dirty-cone analysis.
+    /// Holistic passes served by the restricted dirty-cone analysis,
+    /// extending the previous evaluation's timing of the same outer
+    /// iteration.
     pub delta_passes: u64,
+    /// Holistic passes served by the restricted analysis of the placements
+    /// an outer iteration's schedule moved against its predecessor's,
+    /// extending the timing that predecessor converged to in the same call.
+    pub chained_passes: u64,
     /// Holistic passes served by a full re-analysis.
     pub full_passes: u64,
-    /// Worklist waves over every holistic pass, including delta passes that
-    /// exhausted their budget and fell back.
+    /// Worklist waves over every holistic pass, including delta and chained
+    /// passes that exhausted their budget and fell back.
     pub waves: u64,
     /// Entity recomputations (ET process, CAN leg and FIFO leg visits) over
     /// the same passes.
@@ -635,6 +682,7 @@ impl EvalProfile {
 impl std::ops::AddAssign for EvalProfile {
     fn add_assign(&mut self, other: EvalProfile) {
         self.delta_passes += other.delta_passes;
+        self.chained_passes += other.chained_passes;
         self.full_passes += other.full_passes;
         self.waves += other.waves;
         self.recomputations += other.recomputations;
@@ -862,10 +910,13 @@ impl<'s> Evaluator<'s> {
     /// dirty-cone passes instead of re-running the full holistic fixed
     /// point: a schedule memo hit extends it directly, a rebuild diffs the
     /// new schedule against the slot's old one and feeds the moved
-    /// placements into the cone. Iterations whose slot is unusable (stale,
-    /// diverged, unstable) or whose restricted passes exhaust their budget
-    /// take the full path of that iteration — so the trajectory, and with
-    /// it every result, is bit-identical either way.
+    /// placements into the cone. On an acyclic visiting order, every later
+    /// iteration instead chains onto its predecessor in this call (see the
+    /// module docs). Iterations whose slot is unusable (stale, diverged,
+    /// unstable) or whose restricted passes exhaust their budget take the
+    /// full path of that iteration — so the trajectory, and with it every
+    /// result, is bit-identical either way while no full pass stops at the
+    /// wave budget.
     fn evaluate_inner(
         &mut self,
         config: &SystemConfig,
@@ -901,6 +952,11 @@ impl<'s> Evaluator<'s> {
             if self.sched_cache.len() <= slot {
                 self.sched_cache.push(SchedCacheEntry::default());
             }
+            // Chain onto the previous outer iteration of this call (see the
+            // module docs) when it converged stable and undiverged and the
+            // visiting order is acyclic.
+            let chain =
+                slot > 0 && self.scratch.wl_acyclic && self.sched_cache[slot - 1].extends(run);
             let hit = {
                 let entry = &self.sched_cache[slot];
                 entry.valid
@@ -914,10 +970,11 @@ impl<'s> Evaluator<'s> {
                 self.profile.schedule_hits += 1;
             } else {
                 // Can the rebuilt schedule still extend this slot's timing?
-                // Only if the delta base left it stable and converged —
-                // then the rebuild is staged and diffed, and the moved
-                // placements join the dirty cone.
-                let diffable = delta_seeds.is_some() && self.sched_cache[slot].extends(base_run);
+                // Only if the delta base left it stable and converged, and
+                // the iteration does not chain — then the rebuild is staged
+                // and diffed, and the moved placements join the dirty cone.
+                let diffable =
+                    !chain && delta_seeds.is_some() && self.sched_cache[slot].extends(base_run);
                 let entry = &mut self.sched_cache[slot];
                 entry.valid = false;
                 let input = DenseSchedulerInput {
@@ -951,15 +1008,31 @@ impl<'s> Evaluator<'s> {
             // The holistic analysis is a pure function of (schedule,
             // configuration): when changed releases produced a schedule
             // identical to the one analyzed in the previous outer iteration
-            // of this call, this slot inherits that iteration's timing.
+            // of this call, this slot inherits that iteration's timing (a
+            // chained pass would have an empty cone).
             if slot > 0 && self.sched_cache[slot - 1].schedule == self.sched_cache[slot].schedule {
                 let (done, rest) = self.sched_cache.split_at_mut(slot);
                 rest[0].timing.sync_from(&done[slot - 1].timing);
             } else {
-                // Delta baseline: the slot as the delta base left it,
-                // converged and stable — exactly the state the dirty cone
-                // is a diff against.
-                let baseline = delta_seeds.filter(|_| self.sched_cache[slot].extends(base_run));
+                // Restricted-pass baseline: the predecessor's timing when
+                // chaining, with the placements this schedule moved against
+                // the predecessor's as the only seeds; otherwise the slot as
+                // the delta base left it, converged and stable. Either is
+                // exactly the state the dirty cone is a diff against.
+                let no_seeds = DeltaSeeds::new();
+                let baseline = if chain {
+                    let (done, rest) = self.sched_cache.split_at_mut(slot);
+                    let (prev, entry) = (&done[slot - 1], &mut rest[0]);
+                    entry.timing.sync_from(&prev.timing);
+                    entry.schedule.diff_into(
+                        &prev.schedule,
+                        &mut self.diff_procs,
+                        &mut self.diff_msgs,
+                    );
+                    Some(&no_seeds)
+                } else {
+                    delta_seeds.filter(|_| self.sched_cache[slot].extends(base_run))
+                };
                 let mut ran_delta = false;
                 if let Some(seeds) = baseline {
                     close_dirty(
@@ -977,7 +1050,11 @@ impl<'s> Evaluator<'s> {
                 }
                 if ran_delta {
                     holistic_stable = true;
-                    self.profile.delta_passes += 1;
+                    if chain {
+                        self.profile.chained_passes += 1;
+                    } else {
+                        self.profile.delta_passes += 1;
+                    }
                 } else {
                     self.profile.full_passes += 1;
                     let solve = self.holistic(ttp_queue, grid_slack).run();
@@ -1013,7 +1090,12 @@ impl<'s> Evaluator<'s> {
     /// re-running only the RTA kernels inside the dependency cone of the
     /// change. Results — the summary, every per-entity timing, the queue
     /// bounds and the convergence metadata — are **bit-identical** to a full
-    /// [`evaluate`](Evaluator::evaluate) of the same configuration.
+    /// [`evaluate`](Evaluator::evaluate) of the same configuration, provided
+    /// no full pass of that evaluation stops at the wave budget
+    /// ([`AnalysisParams::max_holistic_iterations`]). A restricted pass can
+    /// converge where the full pass it replaces stops short, below the least
+    /// fixed point; the two paths then return different bounds. Under the
+    /// default budget of 64 waves no measured pass stops short.
     ///
     /// # The delta contract
     ///
@@ -1038,7 +1120,10 @@ impl<'s> Evaluator<'s> {
     ///   placements the new schedule moved join the cone;
     /// * an iteration whose timing is missing, diverged or unstable, or
     ///   whose restricted passes exhaust their budget, is re-analyzed in
-    ///   full — from that point the replay *is* the full evaluation.
+    ///   full — from that point the replay *is* the full evaluation;
+    /// * on an acyclic visiting order, a later iteration whose predecessor
+    ///   converged stable in this call chains onto it instead, as
+    ///   [`evaluate`](Evaluator::evaluate) does too.
     ///
     /// The call transparently takes the full path outright for structural
     /// seeds (TDMA changes — they alter the FIFO drain parameters every
@@ -1072,9 +1157,11 @@ impl<'s> Evaluator<'s> {
     }
 
     /// How many holistic passes were served by the restricted dirty-cone
-    /// analysis vs a full re-analysis, since construction.
+    /// analysis (delta and chained passes) vs a full re-analysis, since
+    /// construction.
     pub fn delta_stats(&self) -> (u64, u64) {
-        (self.profile.delta_passes, self.profile.full_passes)
+        let p = &self.profile;
+        (p.delta_passes + p.chained_passes, p.full_passes)
     }
 
     /// Mirrors every piece of mutable evaluation state from `src`, reusing
@@ -1602,7 +1689,9 @@ impl Evaluator<'_> {
     /// [`evaluate_delta`](Evaluator::evaluate_delta) would with `seeds` (as
     /// [`evaluate`](Evaluator::evaluate) without), except that the worklist
     /// order `prepare_config` computed is replaced by `order` (worklist keys
-    /// by rank, a permutation of `0..worklist_len_for_test()`).
+    /// by rank, a permutation of `0..worklist_len_for_test()`). Whether the
+    /// computed order was acyclic stays recorded, so outer iterations chain
+    /// exactly where they would under it.
     pub(crate) fn evaluate_in_order_for_test(
         &mut self,
         config: &SystemConfig,

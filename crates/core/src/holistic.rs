@@ -649,9 +649,10 @@ impl Holistic<'_> {
 /// key): Kahn's algorithm over the graph of [`for_each_dependent`], each
 /// priority band walked as its chain, with a FIFO queue seeded in static
 /// key order. When the queue runs dry before every key is ordered (a
-/// cycle), the smallest unordered static key is released. `wl_order`
-/// doubles as the queue — a key is ranked when it is queued — so after
-/// warm-up the sort allocates nothing.
+/// cycle), the smallest unordered static key is released, and
+/// `Scratch::wl_acyclic` records that one was. `wl_order` doubles as the
+/// queue — a key is ranked when it is queued — so after warm-up the sort
+/// allocates nothing.
 ///
 /// Requires the priority-sorted tables (`node_order`, `node_pos`,
 /// `can_order`, `can_pos`) of the configuration being evaluated.
@@ -675,9 +676,11 @@ pub(crate) fn order_worklist(ctx: &SystemContext, s: &mut Scratch) {
         }
     }
     let (mut head, mut release) = (0, 0);
+    s.wl_acyclic = true;
     while order.len() < n {
         if head == order.len() {
             // Every unordered key waits on an unordered predecessor.
+            s.wl_acyclic = false;
             while rank[release] != u32::MAX {
                 release += 1;
             }

@@ -48,7 +48,13 @@ pub struct AnalysisParams {
     /// Cap on the worklist waves of one holistic pass. A pass that exhausts
     /// it stops below the least fixed point, so its bounds are optimistic:
     /// when the final outer iteration's pass does, the evaluation reports
-    /// `converged: false`.
+    /// `converged: false`. The evaluation paths of [`Evaluator`] agree bit
+    /// for bit only while no full pass exhausts it: a restricted (delta)
+    /// pass over a move's cone can converge where the full pass it replaces
+    /// stops short, so under a budget some pass reaches, `evaluate_delta`
+    /// can return other bounds than `evaluate`. On an acyclic visiting
+    /// order every pass converges in one wave, so any budget of at least
+    /// one wave is reached by none.
     pub max_holistic_iterations: u32,
     /// Cap on outer (schedule ↔ analysis) iterations. At least one always
     /// runs: 0 acts as 1.

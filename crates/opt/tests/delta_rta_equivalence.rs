@@ -5,7 +5,9 @@
 //! random walk rarely reaches or cannot state: the fallback for a priority
 //! change that is not a permutation, the delta base a rejected
 //! configuration leaves in place, the hand-built multi-rate Figure 4
-//! scenario, and the work split of a recorded Fig-9c SA trace.
+//! scenario, the work split of a recorded Fig-9c SA trace, and a search
+//! whose incumbent depends on the path under a wave budget some full pass
+//! reaches.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -15,8 +17,8 @@ use mcs_core::{
 use mcs_gen::{figure4_multirate, generate, GeneratorParams, PeriodMultipliers};
 use mcs_model::{MessageRoute, System, SystemConfig};
 use mcs_opt::{
-    evaluate, hopa_priorities, neighborhood, sa_start, straightforward_config, Move, MoveSampler,
-    SaParams,
+    evaluate, hopa_priorities, neighborhood, sa_start, straightforward_config, Budget, Move,
+    MoveSampler, Sa, SaParams, Synthesis,
 };
 
 fn small_system(seed: u64) -> mcs_model::System {
@@ -256,21 +258,28 @@ fn worklist_entities(system: &System) -> u64 {
 
 /// A 300-move SAS trace on the Fig-9c instance (160 processes, 10
 /// inter-cluster messages), single-rate and `{1, 2, 4}` multi-rate: the
-/// delta replay ends where the full one does, and the split of its
-/// holistic passes between the restricted delta pass and the full fixed
-/// point stays where it was recorded. A change that makes the delta path
-/// fall back more often, or restrict where it did not, moves the split.
+/// delta replay ends where the full one does, and the split of both
+/// replays' holistic passes between the delta pass (extending the previous
+/// evaluation), the chained pass (extending the previous outer iteration)
+/// and the full fixed point stays where it was recorded. A change that
+/// makes a restricted pass fall back more often, or restrict where it did
+/// not, moves the split.
 ///
 /// The worklist's waves and recomputations of both replays are pinned
 /// too. On the single-rate instance every priority assignment of the trace
 /// leaves the dependency graph acyclic, so the full replay runs exactly one
-/// wave per pass and visits every entity once per pass; a change to the
+/// wave per full pass and visits every entity once per full pass, and a
+/// chained pass runs at most one wave over its cone; a change to the
 /// visiting order that loses that shows here first. So are the CPU and CAN
 /// kernels' passes over their higher-priority prefixes (a kernel that loses
 /// its early exit makes more) and the schedule memo's outcome per outer
 /// iteration: hit, diffed rebuild or plain rebuild.
 #[test]
 fn fig9c_sa_trace_keeps_its_delta_pass_split() {
+    /// (delta, chained, full) holistic passes.
+    fn passes(p: EvalProfile) -> (u64, u64, u64) {
+        (p.delta_passes, p.chained_passes, p.full_passes)
+    }
     /// (waves, recomputations, CPU kernel passes, CAN kernel passes).
     fn work(p: EvalProfile) -> (u64, u64, u64, u64) {
         (
@@ -284,22 +293,24 @@ fn fig9c_sa_trace_keeps_its_delta_pass_split() {
     fn memo(p: EvalProfile) -> (u64, u64, u64) {
         (p.schedule_hits, p.schedule_diffs, p.schedule_rebuilds)
     }
-    for (mut params, split, full_work, delta_work, full_memo, delta_memo) in [
+    for (mut params, full_split, delta_split, full_work, delta_work, full_memo, delta_memo) in [
         (
             GeneratorParams::paper_sized(4, 1_000),
-            (530, 70),
-            (600, 72_600, 50_194, 23_932),
-            (492, 29_512, 21_106, 9_414),
+            (0, 300, 300),
+            (265, 300, 35),
+            (300, 36_300, 25_097, 11_966),
+            (246, 14_756, 10_553, 4_707),
             (346, 0, 254),
-            (346, 186, 68),
+            (346, 70, 184),
         ),
         (
             GeneratorParams::multi_rate(4, 1_000),
-            (558, 42),
-            (2_228, 147_594, 96_412, 47_544),
-            (1_228, 51_656, 33_602, 16_650),
+            (0, 123, 477),
+            (448, 123, 29),
+            (2_228, 142_191, 92_297, 46_212),
+            (1_256, 55_663, 35_784, 18_113),
             (336, 0, 264),
-            (336, 223, 41),
+            (336, 169, 95),
         ),
     ] {
         params.inter_cluster_messages = Some(10);
@@ -311,17 +322,26 @@ fn fig9c_sa_trace_keeps_its_delta_pass_split() {
         let (delta, profile) = replay(&system, &start, &trace, true);
         assert_eq!(delta, full, "the delta replay drifted from the full one");
         assert_eq!(
-            (profile.delta_passes, profile.full_passes),
-            split,
-            "(delta, full) holistic passes"
+            passes(full_profile),
+            full_split,
+            "(delta, chained, full) holistic passes of the full replay"
+        );
+        assert_eq!(
+            passes(profile),
+            delta_split,
+            "(delta, chained, full) holistic passes of the delta replay"
         );
         if params.period_multipliers == PeriodMultipliers::SINGLE {
-            let passes = full_profile.full_passes;
-            assert_eq!(full_profile.waves, passes, "one wave per full pass");
-            assert_eq!(
-                full_profile.recomputations,
-                worklist_entities(&system) * passes,
-                "one recomputation per entity per full pass"
+            let (full, chained) = (full_profile.full_passes, full_profile.chained_passes);
+            let entities = worklist_entities(&system);
+            assert!(
+                (full..=full + chained).contains(&full_profile.waves),
+                "one wave per full pass, at most one per chained pass"
+            );
+            assert!(
+                (entities * full..=entities * (full + chained))
+                    .contains(&full_profile.recomputations),
+                "one recomputation per entity per full pass, at most one per chained pass"
             );
         }
         assert_eq!(
@@ -343,6 +363,48 @@ fn fig9c_sa_trace_keeps_its_delta_pass_split() {
             memo(profile),
             delta_memo,
             "(hits, diffed rebuilds, rebuilds) of the delta replay's schedule memo"
+        );
+    }
+}
+
+/// The evaluation paths agree only while no full pass stops at the wave
+/// budget (`AnalysisParams::max_holistic_iterations`): a delta pass can
+/// converge where the full pass it replaces stops short. This SAR run on a
+/// multi-rate instance reaches such a pass under 4 waves, so its incumbent
+/// depends on which evaluations took a restricted pass. The pins are the
+/// incumbents of the paths as they stand; at 3 and 64 waves the paths
+/// agree. Outer iterations chain only on acyclic visiting orders, where a
+/// chained and a full pass both converge in one wave: chaining on this
+/// instance's cyclic orders too moves the incumbent at 4 waves.
+#[test]
+fn a_search_under_a_reached_wave_budget_keeps_its_incumbent() {
+    let mut params = GeneratorParams::multi_rate(4, 11_279_818_088_504_776_260);
+    params.inter_cluster_messages = Some(10);
+    let system = generate(&params);
+    for (waves, incumbent) in [
+        (3, (-67_346_662, 959)),
+        (4, (-67_495_689, 986)),
+        (64, (-67_321_894, 959)),
+    ] {
+        let analysis = AnalysisParams {
+            max_holistic_iterations: waves,
+            ..AnalysisParams::default()
+        };
+        let sa = SaParams {
+            seed: 5_852_108_939_394_092_182,
+            ..SaParams::default()
+        };
+        let report = Synthesis::builder(&system)
+            .analysis(analysis)
+            .strategy(Sa::resources(sa))
+            .budget(Budget::evals(300))
+            .run()
+            .expect("SAR completes");
+        let best = &report.best;
+        assert_eq!(
+            (best.schedule_cost(), best.total_buffers),
+            incumbent,
+            "(δΓ, s_total) of the incumbent under {waves} waves"
         );
     }
 }

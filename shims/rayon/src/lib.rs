@@ -38,32 +38,48 @@ pub fn current_num_threads() -> usize {
         })
 }
 
-/// Order-preserving parallel map over owned items.
+/// Order-preserving parallel map over owned items, on
+/// [`current_num_threads`] workers.
 pub(crate) fn parallel_map<T, O, F>(items: Vec<T>, f: &F) -> Vec<O>
 where
     T: Send,
     O: Send,
     F: Fn(T) -> O + Sync,
 {
+    map_on_workers(current_num_threads(), items, f)
+}
+
+/// Order-preserving map over at most `workers` threads: the calling thread
+/// and `workers − 1` scoped ones each claim the next unclaimed item until
+/// none is left, so a map pays one thread spawn fewer than it has workers.
+/// A panic in `f` propagates to the caller once every worker has stopped.
+fn map_on_workers<T, O, F>(workers: usize, items: Vec<T>, f: &F) -> Vec<O>
+where
+    T: Send,
+    O: Send,
+    F: Fn(T) -> O + Sync,
+{
     let n = items.len();
-    let workers = current_num_threads().min(n.max(1));
+    let workers = workers.min(n.max(1));
     if workers <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
     let results: Mutex<Vec<(usize, O)>> = Mutex::new(Vec::with_capacity(n));
+    let claim = || loop {
+        let next = queue.lock().expect("queue poisoned").next();
+        let Some((index, item)) = next else { break };
+        let output = f(item);
+        results
+            .lock()
+            .expect("results poisoned")
+            .push((index, output));
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("queue poisoned").next();
-                let Some((index, item)) = next else { break };
-                let output = f(item);
-                results
-                    .lock()
-                    .expect("results poisoned")
-                    .push((index, output));
-            });
+        for _ in 1..workers {
+            scope.spawn(claim);
         }
+        claim();
     });
     let mut keyed = results.into_inner().expect("results poisoned");
     keyed.sort_by_key(|&(index, _)| index);
@@ -72,7 +88,32 @@ where
 
 #[cfg(test)]
 mod tests {
+    use crate::map_on_workers;
     use crate::prelude::*;
+
+    #[test]
+    fn nested_maps_on_several_workers_preserve_order() {
+        let rows: Vec<u64> = (0..12).collect();
+        let table = map_on_workers(3, rows, &|row| {
+            let cols: Vec<u64> = (0..9).collect();
+            map_on_workers(2, cols, &|col| row * 100 + col)
+        });
+        let want: Vec<Vec<u64>> = (0..12)
+            .map(|row| (0..9).map(|col| row * 100 + col).collect())
+            .collect();
+        assert_eq!(table, want);
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_map() {
+        let caught = std::panic::catch_unwind(|| {
+            map_on_workers(3, (0..16).collect(), &|x: u32| {
+                assert_ne!(x, 11, "item 11 panics");
+                x
+            })
+        });
+        assert!(caught.is_err());
+    }
 
     #[test]
     fn map_collect_preserves_order() {
